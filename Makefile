@@ -23,8 +23,8 @@ lint:
 	$(GO) build -o $(CURDIR)/bin/lcrqlint ./cmd/lcrqlint
 	$(GO) vet -vettool=$(CURDIR)/bin/lcrqlint ./...
 
-# Cross-GOARCH compile checks: arm64 exercises the portable CAS2 fallback
-# path, 386 the 32-bit alignment rules align128 reasons about.
+# Cross-GOARCH compile checks: arm64 exercises the portable SCQ default
+# ring, 386 the 32-bit alignment rules align128 reasons about.
 crossarch:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
@@ -55,7 +55,6 @@ soak:
 fuzz:
 	$(GO) test -fuzz FuzzQueueModel -fuzztime 30s .
 	$(GO) test -fuzz FuzzTypedModel -fuzztime 30s .
-	$(GO) test -fuzz FuzzPacked32Model -fuzztime 30s .
 	$(GO) test -fuzz FuzzCloseDrain -fuzztime 30s .
 	$(GO) test -fuzz FuzzBoundedCapacity -fuzztime 30s .
 
@@ -101,7 +100,6 @@ examples:
 	$(GO) run ./examples/pipeline
 	$(GO) run ./examples/taskpool
 	$(GO) run ./examples/instrumentation
-	$(GO) run ./examples/portable
 
 # Scaled-down version of the paper's full evaluation (see -paper for the
 # real thing).

@@ -233,13 +233,13 @@ func BenchmarkAblationReclamation(b *testing.B) {
 	b.Run("epoch", func(b *testing.B) {
 		coreBenchParallel(b, core.Config{Reclamation: core.ReclaimEpoch, NoRecycle: true})
 	})
-	b.Run("gc-only", func(b *testing.B) { coreBenchParallel(b, core.Config{NoHazard: true}) })
+	b.Run("gc-only", func(b *testing.B) { coreBenchParallel(b, core.Config{Reclamation: core.ReclaimGC}) })
 	b.Run("hazard-churn", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 2}) })
 	b.Run("epoch-churn", func(b *testing.B) {
 		coreBenchParallel(b, core.Config{RingOrder: 2, Reclamation: core.ReclaimEpoch})
 	})
 	b.Run("gc-churn", func(b *testing.B) {
-		coreBenchParallel(b, core.Config{RingOrder: 2, NoHazard: true})
+		coreBenchParallel(b, core.Config{RingOrder: 2, Reclamation: core.ReclaimGC})
 	})
 }
 

@@ -2,11 +2,12 @@
 //
 //	go run ./examples/instrumentation
 //
-// Runs the same contended workload against a normal LCRQ and the LCRQ-CAS
-// ablation (fetch-and-add emulated with a CAS loop) and prints the
-// per-operation instruction mix — a live miniature of the paper's Table 2,
-// showing where the CAS-retry waste the paper identifies comes from. Also
-// demonstrates ring churn accounting with a deliberately tiny ring.
+// Runs a contended workload and prints the per-operation instruction mix —
+// a live miniature of the paper's Table 2. The LCRQ-CAS comparison (fetch-
+// and-add emulated with a CAS loop) that shows where the paper's CAS-retry
+// waste comes from is an ablation, run from the queue registry by
+// `go run ./cmd/qbench -table 2`. Also demonstrates ring churn accounting
+// with a deliberately tiny ring.
 package main
 
 import (
@@ -66,7 +67,7 @@ func main() {
 
 	fmt.Println("instruction mix under contention (compare with Table 2 of the paper):")
 	run("lcrq", lcrq.New(), workers, pairs)
-	run("lcrq-cas", lcrq.New(lcrq.WithCASLoopFAA()), workers, pairs)
+	fmt.Println("(for the LCRQ-CAS row: go run ./cmd/qbench -table 2)")
 
 	fmt.Println("\nring churn with a deliberately tiny ring (R=4):")
 	tiny := lcrq.New(lcrq.WithRingSize(4))

@@ -10,27 +10,38 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"lcrq/internal/core"
 )
+
+// withSCQRing selects the portable SCQ ring engine, which is the default
+// only off native amd64, so the fuzz targets cover it on every platform.
+func withSCQRing() Option { return func(c *core.Config) { c.Ring = core.RingSCQ } }
 
 // FuzzQueueModel interprets the fuzz input as an op tape — even bytes
 // enqueue, odd bytes dequeue — and cross-checks the queue against a slice
 // model. The low bits of each byte choose the queue geometry, so the fuzzer
-// also explores tiny rings, CAS-loop mode, and disabled spin waits.
+// also explores tiny rings, CAS-loop mode, disabled spin waits, disabled
+// recycling and the SCQ ring engine.
 func FuzzQueueModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1}, uint8(0))
 	f.Add([]byte{2, 2, 2, 3, 3, 3, 2, 3}, uint8(1))
 	f.Add([]byte{1, 1, 1, 0, 0, 0}, uint8(2))
 	f.Add([]byte{0, 2, 4, 6, 1, 3, 5, 7, 9, 11}, uint8(3))
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1}, uint8(32))
 	f.Fuzz(func(t *testing.T, ops []byte, geom uint8) {
 		opts := []Option{WithRingSize(2 << (geom % 4))}
 		if geom&4 != 0 {
-			opts = append(opts, WithCASLoopFAA())
+			opts = append(opts, func(c *core.Config) { c.CASLoopFAA = true })
 		}
 		if geom&8 != 0 {
 			opts = append(opts, WithSpinWait(-1))
 		}
 		if geom&16 != 0 {
-			opts = append(opts, WithoutRecycling())
+			opts = append(opts, func(c *core.Config) { c.NoRecycle = true })
+		}
+		if geom&32 != 0 {
+			opts = append(opts, withSCQRing())
 		}
 		q := New(opts...)
 		h := q.NewHandle()
@@ -71,11 +82,13 @@ func FuzzQueueModel(f *testing.F) {
 // concurrent DequeueWait consumer, then checks conservation: every accepted
 // enqueue is consumed exactly once, in per-producer FIFO order, and no
 // enqueue is accepted after the close has drained. The fuzzer varies the
-// producer count, ring geometry, and how much traffic precedes the close.
+// producer count, ring geometry and engine, and how much traffic precedes
+// the close.
 func FuzzCloseDrain(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint16(40))
 	f.Add(uint8(4), uint8(3), uint16(0))
 	f.Add(uint8(1), uint8(9), uint16(300))
+	f.Add(uint8(3), uint8(64), uint16(100))
 	f.Fuzz(func(t *testing.T, prod, geom uint8, closeAfter uint16) {
 		const perProd = 256
 		nprod := int(prod%4) + 1
@@ -86,6 +99,9 @@ func FuzzCloseDrain(f *testing.F) {
 		}
 		if geom&32 != 0 {
 			opts = append(opts, WithStarvationLimit(2))
+		}
+		if geom&64 != 0 {
+			opts = append(opts, withSCQRing())
 		}
 		q := New(opts...)
 
@@ -282,36 +298,6 @@ func FuzzTypedModel(f *testing.F) {
 					t.Fatalf("dequeue from empty returned %q", v)
 				case len(model) > 0 && (!ok || v != model[0]):
 					t.Fatalf("dequeue = (%q,%v), want %q", v, ok, model[0])
-				case len(model) > 0:
-					model = model[1:]
-				}
-			}
-		}
-	})
-}
-
-// FuzzPacked32Model drives the portable packed queue against a model.
-func FuzzPacked32Model(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 1, 1}, uint8(2))
-	f.Add([]byte{1, 0, 1, 0}, uint8(5))
-	f.Fuzz(func(t *testing.T, ops []byte, order uint8) {
-		q := NewPacked32(int(order%8) + 1)
-		h := q.NewHandle()
-		defer h.Release()
-		var model []uint32
-		next := uint32(1)
-		for _, op := range ops {
-			if op%2 == 0 {
-				h.Enqueue(next)
-				model = append(model, next)
-				next++
-			} else {
-				v, ok := h.Dequeue()
-				switch {
-				case len(model) == 0 && ok:
-					t.Fatalf("dequeue from empty returned %d", v)
-				case len(model) > 0 && (!ok || v != model[0]):
-					t.Fatalf("dequeue = (%d,%v), want %d", v, ok, model[0])
 				case len(model) > 0:
 					model = model[1:]
 				}

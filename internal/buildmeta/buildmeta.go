@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -50,10 +51,18 @@ func Collect() Meta {
 	return m
 }
 
+// commit resolves the benchmarked revision. The environment override is
+// read on every call; the build stamp and git fallbacks cannot change within
+// a process, so they are resolved once (forking git on every Collect made it
+// the bulk of constructing a server).
 func commit() (rev string, dirty bool) {
 	if env := strings.TrimSpace(os.Getenv("LCRQ_COMMIT")); env != "" {
 		return env, false
 	}
+	return vcsCommit()
+}
+
+var vcsCommit = sync.OnceValues(func() (rev string, dirty bool) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			switch s.Key {
@@ -76,4 +85,4 @@ func commit() (rev string, dirty bool) {
 		}
 	}
 	return "unknown", false
-}
+})

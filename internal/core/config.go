@@ -161,18 +161,10 @@ type Config struct {
 	// default to keep ring allocation off the enqueue path.
 	NoRecycle bool
 
-	// NoHazard removes hazard pointers from the operation path entirely.
-	// In the paper's C setting this would be a use-after-free; under Go's
-	// garbage collector it is safe, and the option exists to measure what
-	// the paper-faithful hazard-pointer publication (store + fence +
-	// revalidate, §5 footnote 6) costs per operation. NoHazard implies
-	// NoRecycle, since recycling is exactly what requires reclamation
-	// safety. Equivalent to Reclamation: ReclaimGC.
-	NoHazard bool
-
 	// Reclamation selects the safe-memory-reclamation scheme; see the
 	// Reclamation constants. The zero value is the paper-faithful
-	// ReclaimHazard. Setting NoHazard forces ReclaimGC.
+	// ReclaimHazard. ReclaimGC implies NoRecycle, since recycling is exactly
+	// what requires reclamation safety.
 	Reclamation Reclamation
 
 	// Telemetry enables the live telemetry layer: per-handle counters are
@@ -228,13 +220,6 @@ type Config struct {
 	// and otherwise leaves the chain unbounded. Values below MinMaxRings
 	// are raised to it — a budget of 1 would wedge on the first ring close.
 	MaxRings int
-
-	// ReclamationBatch is the hazard-pointer scan threshold: a thread's
-	// retired list is scanned once it holds ReclamationBatch × (number of
-	// participating records) entries. Smaller values tighten the
-	// retired-memory bound at the cost of more frequent O(H) scans. 0
-	// selects the hazard package default (8).
-	ReclamationBatch int
 
 	// StallAge is the epoch-reclamation stall threshold: a pinned record
 	// observed lagging the global epoch for longer than StallAge is
@@ -325,11 +310,7 @@ func (c Config) normalized() Config {
 	if c.LatencySampleN < 0 {
 		c.LatencySampleN = 0 // sampling disabled
 	}
-	if c.NoHazard {
-		c.Reclamation = ReclaimGC
-	}
 	if c.Reclamation == ReclaimGC {
-		c.NoHazard = true
 		c.NoRecycle = true
 	}
 	if c.Capacity < 0 {
@@ -344,9 +325,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxRings > 0 && c.MaxRings < MinMaxRings {
 		c.MaxRings = MinMaxRings
-	}
-	if c.ReclamationBatch < 0 {
-		c.ReclamationBatch = 0
 	}
 	if c.StallAge == 0 && c.Reclamation == ReclaimEpoch && c.MaxRings > 0 {
 		c.StallAge = DefaultStallAge

@@ -93,9 +93,6 @@ func NewLCRQ(cfg Config) *LCRQ {
 	switch cfg.Reclamation {
 	case ReclaimHazard:
 		q.dom = hazard.New[CRQ](hpSlots)
-		if cfg.ReclamationBatch > 0 {
-			q.dom.SetScanThreshold(cfg.ReclamationBatch)
-		}
 	case ReclaimEpoch:
 		q.edom = epoch.New[CRQ]()
 		if cfg.StallAge > 0 {
@@ -198,7 +195,6 @@ func (q *LCRQ) newRing(h *Handle, v uint64) (r *CRQ, recycled bool) {
 			if h.traceArmed && r.stamps != nil {
 				r.stampTrace(h, 0) // the seeded value sits at index 0
 			}
-			h.C.Recycled++
 			return r, true
 		}
 	}
@@ -498,6 +494,7 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 			q.rings.Add(1)
 			q.tap(EvRingAppend)
 			if recycled {
+				h.C.Recycled++
 				q.tap(EvRingRecycle)
 			}
 			chaos.Delay(chaos.Handoff)
@@ -565,8 +562,11 @@ func (q *LCRQ) FullEpisode() bool { return q.full.Load() }
 
 // Items returns the exact number of accepted, not-yet-dequeued values on a
 // capacity-bounded queue, and 0 on an unbounded one (which keeps no item
-// account; use Depth for an approximation there).
-func (q *LCRQ) Items() int64 { return q.items.Load() }
+// account; use Depth for an approximation there). Enqueuers reserve on the
+// account before checking the bound and refund any excess, so the raw word
+// can briefly overshoot Capacity; the read clamps that reservation window
+// away instead of paying a CAS loop on the hot word.
+func (q *LCRQ) Items() int64 { return min(q.items.Load(), q.cfg.Capacity) }
 
 // Capacity returns the configured item bound (0 when unbounded).
 func (q *LCRQ) Capacity() int64 { return q.cfg.Capacity }
@@ -707,6 +707,7 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 			q.rings.Add(1)
 			q.tap(EvRingAppend)
 			if recycled {
+				h.C.Recycled++
 				q.tap(EvRingRecycle)
 			}
 			chaos.Delay(chaos.Handoff)

@@ -245,7 +245,7 @@ func TestLCRQConcurrentNoSpinWait(t *testing.T) {
 }
 
 func TestLCRQConcurrentNoHazard(t *testing.T) {
-	lcrqStress(t, Config{RingOrder: 2, NoPadding: true, NoHazard: true}, 4, 4, 2000)
+	lcrqStress(t, Config{RingOrder: 2, NoPadding: true, Reclamation: ReclaimGC}, 4, 4, 2000)
 }
 
 func TestLCRQConcurrentEpoch(t *testing.T) {
@@ -279,12 +279,8 @@ func TestLCRQEpochRecycles(t *testing.T) {
 }
 
 func TestReclamationModeNormalization(t *testing.T) {
-	if (Config{NoHazard: true}).normalized().Reclamation != ReclaimGC {
-		t.Fatal("NoHazard did not force ReclaimGC")
-	}
-	c := Config{Reclamation: ReclaimGC}.normalized()
-	if !c.NoRecycle || !c.NoHazard {
-		t.Fatal("ReclaimGC did not imply NoRecycle/NoHazard")
+	if !(Config{Reclamation: ReclaimGC}).normalized().NoRecycle {
+		t.Fatal("ReclaimGC did not imply NoRecycle")
 	}
 	if ReclaimHazard.String() != "hazard" || ReclaimEpoch.String() != "epoch" || ReclaimGC.String() != "gc" {
 		t.Fatal("mode names wrong")
@@ -292,9 +288,9 @@ func TestReclamationModeNormalization(t *testing.T) {
 }
 
 func TestNoHazardImpliesNoRecycle(t *testing.T) {
-	q := NewLCRQ(Config{RingOrder: 1, NoHazard: true})
+	q := NewLCRQ(Config{RingOrder: 1, Reclamation: ReclaimGC})
 	if !q.Config().NoRecycle {
-		t.Fatal("NoHazard must imply NoRecycle")
+		t.Fatal("GC-only reclamation must imply NoRecycle")
 	}
 	h := q.NewHandle()
 	defer h.Release()
@@ -310,10 +306,54 @@ func TestNoHazardImpliesNoRecycle(t *testing.T) {
 		}
 	}
 	if h.C.Recycled != 0 {
-		t.Fatal("NoHazard queue recycled a ring")
+		t.Fatal("GC-only queue recycled a ring")
 	}
 	if h.C.Appends == 0 {
 		t.Fatal("workload should have appended rings")
+	}
+}
+
+// TestRingRecyclesCountedOnPublish races enqueuers onto tiny rings so that
+// appenders lose the publication CAS. A recycled ring that loses goes back
+// to the pool and may be handed out again; it must be counted once, when it
+// is published, so the aggregated Recycled stays within Appends and matches
+// the EvRingRecycle taps one for one.
+func TestRingRecyclesCountedOnPublish(t *testing.T) {
+	const workers, rounds, burst = 8, 2000, 4
+	tap := &tapCount{}
+	q := NewLCRQ(Config{RingOrder: 1, Tap: tap})
+	var mu sync.Mutex
+	var recycled, appends uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := q.NewHandle()
+			defer h.Release()
+			for i := 0; i < rounds; i++ {
+				for j := 0; j < burst; j++ {
+					q.Enqueue(h, uint64(i*burst+j)+1)
+				}
+				for j := 0; j < burst; j++ {
+					q.Dequeue(h)
+				}
+			}
+			mu.Lock()
+			recycled += h.C.Recycled
+			appends += h.C.Appends
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if recycled == 0 {
+		t.Fatal("workload never recycled a ring")
+	}
+	if recycled > appends {
+		t.Fatalf("Recycled = %d exceeds Appends = %d", recycled, appends)
+	}
+	if taps := tap.counts[EvRingRecycle].Load(); recycled != taps {
+		t.Fatalf("Recycled = %d, EvRingRecycle taps = %d", recycled, taps)
 	}
 }
 

@@ -292,9 +292,11 @@ func TestSCQConcurrentNoLossNoDup(t *testing.T) {
 				}
 				select {
 				case <-stop:
-					if _, ok := q.Dequeue(h); !ok {
+					v, ok := q.Dequeue(h)
+					if !ok {
 						return
 					}
+					results[c] = append(results[c], v)
 				default:
 				}
 			}

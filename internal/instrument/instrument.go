@@ -44,8 +44,9 @@ type Counters struct {
 
 	ThresholdEmpty uint64 // SCQ: emptiness verdicts reached via the threshold trick
 	FreeEmpty      uint64 // SCQ: enqueues that found the free-index queue empty (ring full)
-	Appends     uint64 // LCRQ: new CRQs appended to the list
-	Recycled    uint64 // LCRQ: rings obtained from the recycler
+
+	Appends  uint64 // LCRQ: new CRQs appended to the list
+	Recycled uint64 // LCRQ: appended CRQs that came from the recycler
 
 	BatchEnqueues uint64 // LCRQ: EnqueueBatch calls (constituent items count in Enqueues)
 	BatchDequeues uint64 // LCRQ: DequeueBatch calls (constituent items count in Dequeues)

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"lcrq/internal/core"
 )
 
 func TestQueueBasic(t *testing.T) {
@@ -86,10 +88,10 @@ func TestOptionsApply(t *testing.T) {
 	}{
 		{"ring size", []Option{WithRingSize(100)}}, // rounds to 128
 		{"ring order", []Option{WithRingOrder(5)}},
-		{"cas loop", []Option{WithCASLoopFAA()}},
+		{"cas loop", []Option{func(c *core.Config) { c.CASLoopFAA = true }}},
 		{"hierarchical", []Option{WithHierarchical(time.Millisecond)}},
-		{"no padding", []Option{WithoutPadding()}},
-		{"no recycling", []Option{WithoutRecycling()}},
+		{"no padding", []Option{func(c *core.Config) { c.NoPadding = true }}},
+		{"no recycling", []Option{func(c *core.Config) { c.NoRecycle = true }}},
 		{"no hazard", []Option{WithoutHazardPointers(), WithRingSize(8)}},
 		{"epoch", []Option{WithEpochReclamation(), WithRingSize(8)}},
 		{"spin", []Option{WithSpinWait(3)}},

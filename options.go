@@ -29,31 +29,6 @@ func WithRingOrder(order int) Option {
 	return func(c *core.Config) { c.RingOrder = order }
 }
 
-// WithPortableRing selects the SCQ ring engine (Nikolaev's scalable
-// circular queue): cycle-tagged 64-bit entries driven by single-word
-// CAS/AND, so rings are lock-free on any GOARCH — no CMPXCHG16B, no
-// 128-bit emulation. This is already the default everywhere except native
-// amd64 builds; use it there to measure the portable engine on CAS2-capable
-// hardware. See DESIGN.md §16.
-func WithPortableRing() Option {
-	return func(c *core.Config) { c.Ring = core.RingSCQ }
-}
-
-// WithCAS2Ring forces the 128-bit CAS2 ring engine, the paper's CRQ. On
-// non-amd64, purego, or race builds the CAS2 itself runs through the
-// striped-lock emulation — correct but no longer lock-free; prefer the
-// default (SCQ) there unless comparing the engines.
-func WithCAS2Ring() Option {
-	return func(c *core.Config) { c.Ring = core.RingCAS2 }
-}
-
-// WithCASLoopFAA emulates fetch-and-add with a CAS loop, reproducing the
-// paper's LCRQ-CAS comparison point. Strictly worse under contention; it
-// exists to measure exactly how much worse.
-func WithCASLoopFAA() Option {
-	return func(c *core.Config) { c.CASLoopFAA = true }
-}
-
 // WithHierarchical enables the LCRQ+H cluster-batching optimization: an
 // operation arriving from a cluster other than the ring's current owner
 // waits up to timeout (0 means the paper's 100 µs) before proceeding,
@@ -66,26 +41,13 @@ func WithHierarchical(timeout time.Duration) Option {
 	}
 }
 
-// WithoutPadding packs ring cells densely (16 bytes each) instead of
-// padding them to a false-sharing range. Saves 8× memory per ring at the
-// cost of false sharing between neighboring cells.
-func WithoutPadding() Option {
-	return func(c *core.Config) { c.NoPadding = true }
-}
-
-// WithoutRecycling disables hazard-pointer ring recycling; retired rings
-// are left to the garbage collector.
-func WithoutRecycling() Option {
-	return func(c *core.Config) { c.NoRecycle = true }
-}
-
 // WithoutHazardPointers removes hazard pointers from the operation path
 // entirely, relying on Go's garbage collector for reclamation safety (an
-// option the paper's C implementation does not have). Implies
-// WithoutRecycling. Use to shed the per-operation publication fence when
-// ring churn is rare, or to measure its cost.
+// option the paper's C implementation does not have). Retired rings are not
+// recycled. Use to shed the per-operation publication fence when ring churn
+// is rare, or to measure its cost.
 func WithoutHazardPointers() Option {
-	return func(c *core.Config) { c.NoHazard = true }
+	return func(c *core.Config) { c.Reclamation = core.ReclaimGC }
 }
 
 // WithEpochReclamation swaps the paper's hazard pointers for epoch-based
@@ -200,15 +162,6 @@ func WithCapacity(n int64) Option {
 // unless WithCapacity derives a budget.
 func WithMaxRings(n int) Option {
 	return func(c *core.Config) { c.MaxRings = n }
-}
-
-// WithReclamationBatch sets the hazard-pointer scan threshold: a worker's
-// retired-ring list is scanned for reclamation once it holds n × (number of
-// workers) entries. Smaller values tighten the bound on retired-but-
-// unreclaimed memory at the cost of more frequent scans; 0 keeps the
-// default (8). Only meaningful in the default hazard reclamation mode.
-func WithReclamationBatch(n int) Option {
-	return func(c *core.Config) { c.ReclamationBatch = n }
 }
 
 // WithStallRecovery enables stall-resilient epoch reclamation: a worker
