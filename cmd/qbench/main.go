@@ -11,7 +11,6 @@
 //	qbench -list                    # what can be regenerated
 //	qbench -queues lcrq,ms-queue -threads 1,2,4 -pairs 50000   # custom sweep
 //	qbench -batch 64 -metrics BENCH_batch.json  # batched-operation study
-//	qbench -oversub 8 -metrics BENCH_contention.json  # fixed vs adaptive contention
 //
 // Flags -pairs, -runs, -maxthreads, and -ring scale any experiment; -csv
 // switches figure output to CSV; -chart adds an ASCII chart; -metrics PATH
@@ -62,7 +61,6 @@ func main() {
 		capacity   = flag.Int64("capacity", 0, "governed run: bound the LCRQ family to this many in-flight items (0 = unbounded)")
 		watchdog   = flag.Duration("watchdog", 0, "governed run: sample budget health at this interval and report verdicts (0 = off)")
 		batch      = flag.Int("batch", 0, "batch study: sweep EnqueueBatch/DequeueBatch block sizes up to N (0 = off)")
-		oversub    = flag.Int("oversub", 0, "oversubscription study: compare fixed vs adaptive contention at thread multiples of GOMAXPROCS up to N× (0 = off)")
 	)
 	flag.Parse()
 
@@ -120,10 +118,6 @@ func main() {
 		}
 	case *batch > 0:
 		if err := runBatch(*batch, *queuesFlag, *threadsF, sc, mode); err != nil {
-			fatal(err)
-		}
-	case *oversub > 0:
-		if err := runOversub(*oversub, *queuesFlag, sc, mode); err != nil {
 			fatal(err)
 		}
 	case ringEngines != "":
@@ -266,39 +260,6 @@ func runBatch(maxK int, queuesCSV, threadsCSV string, sc harness.Scale, mode out
 		return render.JSONBatchSweep(os.Stdout, res)
 	}
 	render.BatchSweep(os.Stdout, res)
-	return nil
-}
-
-// runOversub sweeps oversubscription multipliers 1, 2, 4, 8 clipped to maxM
-// (maxM itself is added when it falls between the standard points), running
-// every point once with fixed spin constants and once with the adaptive
-// contention controller armed.
-func runOversub(maxM int, queuesCSV string, sc harness.Scale, mode outputMode) error {
-	spec := harness.OversubSweep()
-	if queuesCSV != "" {
-		spec.Queue = strings.Split(queuesCSV, ",")[0]
-	}
-	var mults []int
-	for _, m := range spec.Multipliers {
-		if m <= maxM {
-			mults = append(mults, m)
-		}
-	}
-	if len(mults) == 0 || mults[len(mults)-1] != maxM {
-		mults = append(mults, maxM)
-	}
-	spec.Multipliers = mults
-	res, err := harness.RunOversubSweep(spec, sc)
-	if err != nil {
-		return err
-	}
-	if err := mode.sidecar(func(w io.Writer) error { return render.JSONOversubSweep(w, res) }); err != nil {
-		return err
-	}
-	if mode.json {
-		return render.JSONOversubSweep(os.Stdout, res)
-	}
-	render.OversubSweep(os.Stdout, res)
 	return nil
 }
 

@@ -130,9 +130,10 @@ func (q *traced) recordHitLit(id uint64, ns int64, pos int) {
 	q.hits = [8]hit{}                         // want `composite literal \(allocation\)`
 }
 
-// Adaptive contention controller: the MIAD fail/success steps run inside
-// the cell-retry loops, so they must stay pure arithmetic on handle-local
-// fields — no allocation, no bookkeeping containers.
+// Backoff controller: the multiplicative-increase/additive-decrease
+// fail/success steps run inside cell-retry loops, so they must stay pure
+// arithmetic on handle-local fields — no allocation, no bookkeeping
+// containers.
 
 type ctl struct {
 	spins, min, max, decay uint64
@@ -166,8 +167,7 @@ func (c *ctl) success() {
 }
 
 // pause is deliberately NOT annotated: chunked backoff yields the
-// processor, which is why the real contention.Pause carries no hotpath
-// annotation and hot callers reach it through a plain call.
+// processor, so hot callers reach it through a plain call.
 func (c *ctl) pause() {
 	runtime.Gosched()
 }

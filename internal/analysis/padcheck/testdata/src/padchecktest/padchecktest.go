@@ -84,11 +84,10 @@ type stampSlotPadded struct {
 	ns  atomic.Int64  //lcrq:cold
 }
 
-// adaptBoost mirrors the adaptive contention controller's queue-wide state:
-// the boost shift is loaded by every enqueue retry iteration (StarveLimit),
-// while the raise/decay tallies are touched only by the watchdog's
-// remediation tick and Metrics() — cold writers may not drag their line
-// into the retry path's working set.
+// adaptBoost is a queue-wide tuning word: the boost shift is loaded by
+// every enqueue retry iteration, while the raise/decay tallies are touched
+// only by a periodic maintenance tick and metrics scrapes — cold writers
+// may not drag their line into the retry path's working set.
 //
 //lcrq:padded
 type adaptBoost struct {
@@ -97,9 +96,8 @@ type adaptBoost struct {
 	decays atomic.Uint64 // want `adaptBoost\.decays shares a 64-byte cache line with boost` `adaptBoost\.decays shares a 64-byte cache line with raises`
 }
 
-// adaptBoostPadded is the required layout (the shape of the real
-// contention.Shared): the hot boost word on a private line, the cold
-// tallies together behind it.
+// adaptBoostPadded is the required layout: the hot boost word on a
+// private line, the cold tallies together behind it.
 //
 //lcrq:padded
 type adaptBoostPadded struct {

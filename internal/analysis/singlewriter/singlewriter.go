@@ -1,10 +1,10 @@
 // Package singlewriter enforces the ownership discipline of types
 // annotated //lcrq:singlewriter.
 //
-// The queue keeps its per-handle state — instrument counters, the adaptive
-// contention controller, the telemetry record — as plain, atomics-free
-// structs owned by one goroutine: the handle's. That is a protocol, not a
-// property the compiler checks; a helper that pokes a controller field
+// The queue keeps its per-handle state — instrument counters, the
+// telemetry record — as plain, atomics-free structs owned by one
+// goroutine: the handle's. That is a protocol, not a property the
+// compiler checks; a helper that pokes a record field
 // from the watchdog goroutine compiles fine and races silently. Before
 // this analyzer, such fields were justified by ad-hoc //lcrq:exclusive
 // comments on whatever functions happened to touch them; the type-level

@@ -90,14 +90,6 @@ const (
 	// the per-cell protocol runs, widening the race against enqueuers still
 	// depositing and against ring retirement.
 	BatchDeqReserve
-	// AdaptRaise forces the watchdog's adaptive-contention remediation to
-	// raise the shared starvation boost on its next tick, regardless of the
-	// health verdict — the hook chaos campaigns use to drive the controller
-	// through its widened-threshold regime on demand.
-	AdaptRaise
-	// AdaptDecay forces the remediation to decay the boost on its next tick,
-	// exercising the recovery half of the controller's state machine.
-	AdaptDecay
 	// ScqEnqCAS forces an SCQ index-queue deposit CAS — the entry
 	// transition ⟨cycle, safe, ⊥⟩ → ⟨Cycle(T), 1, idx⟩ on the aq or fq —
 	// to be treated as failed, driving the depositor into its retry /
@@ -143,8 +135,6 @@ var pointNames = [NumPoints]string{
 
 	BatchEnqReserve: "batch-enq-reserve",
 	BatchDeqReserve: "batch-deq-reserve",
-	AdaptRaise:      "adapt-raise",
-	AdaptDecay:      "adapt-decay",
 
 	ScqEnqCAS:    "scq-enq-cas-fail",
 	ScqDeqCAS:    "scq-deq-cas-fail",

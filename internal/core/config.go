@@ -44,17 +44,6 @@ const (
 	// permanently after the first ring close; 2 always leaves room for the
 	// successor that lets the head ring retire.
 	MinMaxRings = 2
-	// Adaptive contention controller defaults (AdaptiveContention): the
-	// MIAD backoff bounds, the additive decrease step, and the cap on the
-	// watchdog remediation's starvation-limit boost shift. These mirror the
-	// contention package's defaults; see that package for the rationale.
-	DefaultAdaptSpinMin  = 32
-	DefaultAdaptSpinMax  = 4096
-	DefaultAdaptDecay    = 8
-	DefaultAdaptBoostMax = 3
-	// MaxAdaptBoost bounds any configured boost shift so the widened
-	// starvation limit stays far from overflowing the tries counter.
-	MaxAdaptBoost = 16
 )
 
 // Reclamation selects how retired CRQ rings are protected and reclaimed.
@@ -236,32 +225,6 @@ type Config struct {
 	// Telemetry); the core only carries the setting.
 	Watchdog time.Duration
 
-	// AdaptiveContention arms the per-handle adaptive contention
-	// controller (internal/contention): failed cell attempts raise a
-	// multiplicative-increase/additive-decrease backoff, the starvation
-	// threshold widens with the measured contention, and the public wait
-	// loops remember their backoff level across calls. Off by default —
-	// the fixed constants above remain authoritative until the oversub
-	// bench gate proves parity for a workload.
-	AdaptiveContention bool
-
-	// AdaptSpinMin and AdaptSpinMax bound the controller's backoff level
-	// in spin iterations. 0 selects the defaults; negative values also
-	// clamp to the defaults, and an inverted pair is repaired by raising
-	// max to min (the same treatment WaitBackoffMin/Max receive).
-	AdaptSpinMin int
-	AdaptSpinMax int
-
-	// AdaptDecay is the additive decrease applied to the backoff level per
-	// completed operation. 0 or negative selects the default.
-	AdaptDecay int
-
-	// AdaptBoostMax caps the starvation-limit boost shift the watchdog
-	// remediation may apply (limit << boost). 0 selects the default;
-	// negative disables remediation (cap 0); values past MaxAdaptBoost are
-	// clamped to it.
-	AdaptBoostMax int
-
 	// Ring selects the ring engine: the paper's CAS2 cells or the portable
 	// single-word SCQ ring. The zero value (RingAuto) resolves per GOARCH —
 	// CAS2 on amd64, SCQ elsewhere — so non-x86 platforms get a lock-free
@@ -334,27 +297,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Watchdog < 0 {
 		c.Watchdog = 0
-	}
-	if c.AdaptSpinMin <= 0 {
-		c.AdaptSpinMin = DefaultAdaptSpinMin
-	}
-	if c.AdaptSpinMax <= 0 {
-		c.AdaptSpinMax = DefaultAdaptSpinMax
-	}
-	if c.AdaptSpinMax < c.AdaptSpinMin {
-		c.AdaptSpinMax = c.AdaptSpinMin
-	}
-	if c.AdaptDecay <= 0 {
-		c.AdaptDecay = DefaultAdaptDecay
-	}
-	if c.AdaptBoostMax == 0 {
-		c.AdaptBoostMax = DefaultAdaptBoostMax
-	}
-	if c.AdaptBoostMax < 0 {
-		c.AdaptBoostMax = -1 // remediation disabled
-	}
-	if c.AdaptBoostMax > MaxAdaptBoost {
-		c.AdaptBoostMax = MaxAdaptBoost
 	}
 	if c.Ring == RingAuto {
 		if runtime.GOARCH == "amd64" {

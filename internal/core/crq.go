@@ -302,9 +302,6 @@ func (q *CRQ) Enqueue(h *Handle, v uint64) bool {
 					if h.traceArmed {
 						h.completeEnqTrace()
 					}
-					if q.cfg.AdaptiveContention {
-						h.adaptOK()
-					}
 					return true
 				}
 			}
@@ -312,19 +309,10 @@ func (q *CRQ) Enqueue(h *Handle, v uint64) bool {
 
 		hd := q.head.Load()
 		tries++
-		// The starvation threshold is the fixed limit by default; with the
-		// adaptive controller armed it widens with the handle's measured
-		// contention and the watchdog's boost, so a tantrum storm damps
-		// instead of cascading into ring churn. The chaos-forced tantrum
-		// targets whatever the effective limit is, widened included.
-		limit := q.cfg.StarvationLimit
-		if q.cfg.AdaptiveContention {
-			limit = h.Ctl.StarveLimit(limit)
-		}
 		if chaos.Fire(chaos.Tantrum) {
-			tries = limit // forced starvation: throw the tantrum now
+			tries = q.cfg.StarvationLimit // forced starvation: throw the tantrum now
 		}
-		if full := int64(t-hd) >= int64(q.size); full || tries >= limit {
+		if full := int64(t-hd) >= int64(q.size); full || tries >= q.cfg.StarvationLimit {
 			ev := EvRingTantrum
 			if full {
 				ev = EvRingClose
@@ -333,9 +321,6 @@ func (q *CRQ) Enqueue(h *Handle, v uint64) bool {
 			return false
 		}
 		h.C.CellRetries++
-		if q.cfg.AdaptiveContention {
-			h.adaptFail()
-		}
 	}
 }
 
@@ -373,9 +358,6 @@ func (q *CRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 						if q.stamps != nil {
 							q.checkStamp(h, hIdx, 0)
 						}
-						if q.cfg.AdaptiveContention {
-							h.adaptOK()
-						}
 						return ^hi, true
 					}
 				} else {
@@ -410,9 +392,6 @@ func (q *CRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 			return Bottom, false
 		}
 		h.C.CellRetries++
-		if q.cfg.AdaptiveContention {
-			h.adaptFail()
-		}
 	}
 }
 
@@ -482,27 +461,19 @@ func (q *CRQ) EnqueueBatch(h *Handle, vs []uint64) (n int, closed bool) {
 					if h.traceArmed {
 						h.completeEnqTrace()
 					}
-					if q.cfg.AdaptiveContention {
-						h.adaptOK()
-					}
 					n++
 					continue
 				}
 			}
 			// Lost the cell: abandon index t (a dequeuer empty-transitions
 			// past it, as after any failed single attempt) and fall into the
-			// same full/starvation policy as the single-op path, widened by
-			// the adaptive controller when armed.
+			// same full/starvation policy as the single-op path.
 			hd := q.head.Load()
 			tries++
-			limit := q.cfg.StarvationLimit
-			if q.cfg.AdaptiveContention {
-				limit = h.Ctl.StarveLimit(limit)
-			}
 			if chaos.Fire(chaos.Tantrum) {
-				tries = limit
+				tries = q.cfg.StarvationLimit
 			}
-			if full := int64(t-hd) >= int64(q.size); full || tries >= limit {
+			if full := int64(t-hd) >= int64(q.size); full || tries >= q.cfg.StarvationLimit {
 				ev := EvRingTantrum
 				if full {
 					ev = EvRingClose
@@ -511,9 +482,6 @@ func (q *CRQ) EnqueueBatch(h *Handle, vs []uint64) (n int, closed bool) {
 				return n, true
 			}
 			h.C.CellRetries++
-			if q.cfg.AdaptiveContention {
-				h.adaptFail()
-			}
 		}
 	}
 	return n, false
@@ -588,9 +556,6 @@ retry:
 						if q.stamps != nil {
 							q.checkStamp(h, hIdx, n)
 						}
-						if q.cfg.AdaptiveContention {
-							h.adaptOK()
-						}
 						n++
 						break cellLoop
 					}
@@ -628,9 +593,6 @@ retry:
 		// availability check; head has advanced, so this terminates once
 		// tail ≤ head genuinely holds.
 		h.C.CellRetries++
-		if q.cfg.AdaptiveContention {
-			h.adaptFail()
-		}
 		goto retry
 	}
 	return n

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lcrq/internal/chaos"
-	"lcrq/internal/contention"
 	"lcrq/internal/epoch"
 	"lcrq/internal/hazard"
 	"lcrq/internal/pad"
@@ -51,12 +50,6 @@ type LCRQ struct {
 	edom   *epoch.Domain[CRQ]
 	pool   sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
 
-	// shared is the queue-wide half of the adaptive contention controller
-	// (nil unless cfg.AdaptiveContention): the watchdog's remediation boost,
-	// read by every handle's StarveLimit. The pointer itself is read-only
-	// after NewLCRQ; the Shared struct keeps its hot word on a private line.
-	shared *contention.Shared
-
 	// closed is set by Close. It lives off the hot cache lines: enqueuers
 	// only consult it on the ring-closed slow path, so an open queue never
 	// pays for the close feature.
@@ -87,9 +80,6 @@ type LCRQ struct {
 func NewLCRQ(cfg Config) *LCRQ {
 	cfg = cfg.normalized()
 	q := &LCRQ{cfg: cfg, traced: cfg.TraceSampleN != 0}
-	if cfg.AdaptiveContention {
-		q.shared = contention.NewShared(cfg.AdaptBoostMax)
-	}
 	switch cfg.Reclamation {
 	case ReclaimHazard:
 		q.dom = hazard.New[CRQ](hpSlots)
@@ -130,13 +120,13 @@ func (q *LCRQ) NewHandle() *Handle {
 	case ReclaimGC:
 		h = &Handle{owner: q} // no reclamation record: nothing to leak
 		h.initTrace(q.cfg)
-		h.initContention(q)
+		h.seedJitter()
 		return h
 	default:
 		h = &Handle{hp: q.dom.Acquire(), owner: q}
 	}
 	h.initTrace(q.cfg)
-	h.initContention(q)
+	h.seedJitter()
 	h.armRecovery(q)
 	return h
 }
@@ -578,57 +568,6 @@ func (q *LCRQ) MaxRings() int { return q.cfg.MaxRings }
 // rejected.
 func (q *LCRQ) CapacityRejects() uint64 { return q.rejects.Load() }
 
-// Adaptive reports whether the adaptive contention controller is armed
-// (Config.AdaptiveContention).
-func (q *LCRQ) Adaptive() bool { return q.shared != nil }
-
-// ContentionBoost returns the watchdog remediation boost currently applied
-// to every handle's starvation threshold (a left-shift amount; 0 when the
-// controller is disabled or unboosted).
-func (q *LCRQ) ContentionBoost() uint64 {
-	if q.shared == nil {
-		return 0
-	}
-	return q.shared.Boost()
-}
-
-// ContentionRaises returns how many times remediation raised the boost.
-func (q *LCRQ) ContentionRaises() uint64 {
-	if q.shared == nil {
-		return 0
-	}
-	return q.shared.Raises()
-}
-
-// ContentionDecays returns how many times remediation decayed the boost.
-func (q *LCRQ) ContentionDecays() uint64 {
-	if q.shared == nil {
-		return 0
-	}
-	return q.shared.Decays()
-}
-
-// RaiseContention raises the shared starvation boost one step (saturating at
-// the configured cap), returning the new boost and whether it moved. The
-// watchdog calls it on a tantrum-storm verdict; it is exported for manual
-// remediation and tests. No-op (0, false) when the controller is disabled.
-func (q *LCRQ) RaiseContention() (uint64, bool) {
-	if q.shared == nil {
-		return 0, false
-	}
-	return q.shared.Raise()
-}
-
-// DecayContention lowers the shared starvation boost one step (flooring at
-// 0), returning the new boost and whether it moved. The watchdog calls it on
-// healthy ticks so a past storm's widening does not linger forever.
-func (q *LCRQ) DecayContention() (uint64, bool) {
-	if q.shared == nil {
-		return 0, false
-	}
-	return q.shared.Decay()
-}
-
 // EpochStalls returns how many stall-by-policy declarations the epoch
 // domain has made (0 outside epoch mode).
 func (q *LCRQ) EpochStalls() uint64 {
@@ -908,9 +847,8 @@ func (q *LCRQ) clusterGate(h *Handle, crq *CRQ) {
 	}
 	// Jitter the timeout so gate-parked threads of one cluster do not all
 	// give up and CAS-claim the ring in the same instant (the claim herd is
-	// the gate's own thundering-herd hazard). The jitter source lives in the
-	// handle's controller and works whether or not adaptation is armed.
-	deadline := time.Now().Add(h.Ctl.Jitter(q.cfg.ClusterTimeout))
+	// the gate's own thundering-herd hazard).
+	deadline := time.Now().Add(h.Jitter(q.cfg.ClusterTimeout))
 	for spin := 0; ; spin++ {
 		if crq.cluster.Load() == h.Cluster {
 			return

@@ -446,3 +446,24 @@ func TestLCRQConfigAccessor(t *testing.T) {
 		t.Fatal("config not normalized")
 	}
 }
+
+// TestHandleJitterSeeded: every handle — issued by a queue under each
+// reclamation scheme, or detached for standalone CRQ use — carries a
+// working jitter source, since clusterGate and the public wait loops rely
+// on it.
+func TestHandleJitterSeeded(t *testing.T) {
+	const d = 1000
+	check := func(name string, h *Handle) {
+		t.Helper()
+		if j := h.Jitter(d); j < d/2 || j > 3*d/2 {
+			t.Fatalf("%s handle: Jitter(%d) = %d out of range", name, d, j)
+		}
+	}
+	for _, rc := range []Reclamation{ReclaimHazard, ReclaimEpoch, ReclaimGC} {
+		q := NewLCRQ(Config{RingOrder: 4, Reclamation: rc})
+		h := q.NewHandle()
+		check(rc.String(), h)
+		h.Release()
+	}
+	check("detached", NewHandle())
+}

@@ -31,16 +31,16 @@ import (
 type Domain[T any] struct {
 	// head of the global record list; records are never removed, only
 	// marked inactive and reused, as in Michael's original scheme.
-	records atomic.Pointer[Record[T]]
-	slots   int
-	// scanThreshold is how many retirements a record batches before
-	// scanning. Larger values amortize scan cost; smaller bound memory.
-	scanThreshold int
-	nrecords      atomic.Int64
+	records  atomic.Pointer[Record[T]]
+	slots    int
+	nrecords atomic.Int64
 }
 
-// DefaultScanThreshold is the per-record retirement batch used when no
-// explicit threshold is configured.
+// DefaultScanThreshold is the per-record retirement batch: a record scans
+// once its retired list holds DefaultScanThreshold × (number of records)
+// entries. That bounds a record's list at that many entries, of which at
+// most slots × records can survive a scan, while keeping scans O(H)
+// amortized.
 const DefaultScanThreshold = 8
 
 // New creates a Domain whose records each hold slots hazard pointers.
@@ -48,25 +48,8 @@ func New[T any](slots int) *Domain[T] {
 	if slots <= 0 {
 		panic("hazard: slots must be positive")
 	}
-	return &Domain[T]{slots: slots, scanThreshold: DefaultScanThreshold}
+	return &Domain[T]{slots: slots}
 }
-
-// SetScanThreshold sets the retirement batch: a record scans once its
-// retired list holds threshold × (number of records) entries. Smaller
-// values tighten the retired-memory bound — a record's list never exceeds
-// threshold × records entries, of which at most slots × records can survive
-// a scan — at the cost of more frequent O(H) scans. threshold < 1 selects
-// DefaultScanThreshold. Call before the domain is in use; the setting is
-// not synchronized.
-func (d *Domain[T]) SetScanThreshold(threshold int) {
-	if threshold < 1 {
-		threshold = DefaultScanThreshold
-	}
-	d.scanThreshold = threshold
-}
-
-// ScanThreshold returns the configured retirement batch.
-func (d *Domain[T]) ScanThreshold() int { return d.scanThreshold }
 
 // Record is one thread's set of hazard slots plus its private retired list.
 // A Record must not be used concurrently.
@@ -152,7 +135,7 @@ func (r *Record[T]) Retire(p *T, reclaim func(*T)) {
 	r.retired = append(r.retired, retiredNode[T]{p: p, reclaim: reclaim})
 	// Scale the batch with the number of participants so scans stay O(H)
 	// amortized, as in the original paper.
-	threshold := r.domain.scanThreshold * int(r.domain.nrecords.Load())
+	threshold := DefaultScanThreshold * int(r.domain.nrecords.Load())
 	if len(r.retired) >= threshold {
 		r.scan()
 	}

@@ -122,6 +122,17 @@ func TestScanThresholdScalesWithRecords(t *testing.T) {
 	if reclaimed.Load() != 8 {
 		t.Fatalf("reclaimed = %d at threshold, want 8", reclaimed.Load())
 	}
+	// With k = DefaultScanThreshold and n records, a record's retired list
+	// never holds more than k×n entries; a second record doubles the bound.
+	r2 := d.Acquire()
+	defer r2.Release()
+	bound := DefaultScanThreshold * int(d.Stats())
+	for i := 0; i < 100; i++ {
+		r.Retire(&node{v: i}, nil)
+		if got := len(r.retired); got > bound {
+			t.Fatalf("retired list grew to %d, bound %d", got, bound)
+		}
+	}
 }
 
 // TestConcurrentListTraversal exercises the classic hazard-pointer usage: a
@@ -204,32 +215,5 @@ func TestConcurrentListTraversal(t *testing.T) {
 	case e := <-errs:
 		t.Fatal(e)
 	default:
-	}
-}
-
-// TestSetScanThresholdBoundsRetired verifies the configurable reclamation
-// batch: with threshold k and n records, a record's retired list never
-// holds more than k×n entries (the bound SetScanThreshold documents),
-// and a sub-1 threshold falls back to the default.
-func TestSetScanThresholdBoundsRetired(t *testing.T) {
-	d := New[node](1)
-	d.SetScanThreshold(2)
-	if got := d.ScanThreshold(); got != 2 {
-		t.Fatalf("ScanThreshold = %d, want 2", got)
-	}
-	r1 := d.Acquire()
-	r2 := d.Acquire() // second record doubles the scaled bound
-	_ = r2
-	bound := 2 * int(d.Stats())
-	for i := 0; i < 100; i++ {
-		r1.Retire(&node{v: i}, nil)
-		if got := len(r1.retired); got > bound {
-			t.Fatalf("retired list grew to %d, bound %d", got, bound)
-		}
-	}
-	d2 := New[node](1)
-	d2.SetScanThreshold(0)
-	if got := d2.ScanThreshold(); got != DefaultScanThreshold {
-		t.Fatalf("threshold 0 selected %d, want default %d", got, DefaultScanThreshold)
 	}
 }

@@ -53,10 +53,6 @@ type Counters struct {
 	BatchSpill    uint64 // LCRQ: batches that spilled into a freshly appended ring
 	GateSpins     uint64 // LCRQ+H: cluster admission gate spin iterations
 
-	AdaptRaises uint64 // adaptive contention: MIAD backoff raises (failed cell attempts)
-	AdaptDecays uint64 // adaptive contention: backoff decays (completed operations)
-	AdaptSpins  uint64 // adaptive contention: total pause iterations burned
-
 	TraceArms uint64 // tracing: enqueue-side stamps armed (sampled + forced)
 	TraceHits uint64 // tracing: stamped items claimed by this thread's dequeues
 
@@ -94,9 +90,6 @@ func (c *Counters) Add(o *Counters) {
 	c.BatchDequeues += o.BatchDequeues
 	c.BatchSpill += o.BatchSpill
 	c.GateSpins += o.GateSpins
-	c.AdaptRaises += o.AdaptRaises
-	c.AdaptDecays += o.AdaptDecays
-	c.AdaptSpins += o.AdaptSpins
 	c.TraceArms += o.TraceArms
 	c.TraceHits += o.TraceHits
 	c.CombinerRuns += o.CombinerRuns

@@ -96,20 +96,6 @@ func JSONBatchSweep(w io.Writer, r *harness.BatchSweepResult) error {
 	})
 }
 
-// JSONOversubSweep writes an oversubscription study as JSON — the shape
-// archived as BENCH_contention.json by CI, so successive runs track the
-// fixed-vs-adaptive comparison across oversubscription levels.
-func JSONOversubSweep(w io.Writer, r *harness.OversubSweepResult) error {
-	return encode(w, map[string]any{
-		"figure":      r.Spec.ID,
-		"title":       r.Spec.Title,
-		"queue":       r.Spec.Queue,
-		"gomaxprocs":  r.Procs,
-		"points":      r.Points,
-		"multipliers": r.Spec.Multipliers,
-	})
-}
-
 // encode writes v as indented JSON with the run's provenance stamped in as
 // "meta" (commit, GOMAXPROCS, timestamp — see internal/buildmeta). Every
 // sidecar gets the stamp, so any two BENCH_*.json artifacts are directly

@@ -134,30 +134,6 @@ func BatchSweep(w io.Writer, r *harness.BatchSweepResult) {
 	table(w, []string{"batch", "Mops", "F&A/item", "spills"}, rows)
 }
 
-// OversubSweep writes an oversubscription study table: fixed-constant vs
-// adaptive-controller throughput and ring churn per oversubscription level.
-func OversubSweep(w io.Writer, r *harness.OversubSweepResult) {
-	fmt.Fprintf(w, "Study %s: %s (%s, GOMAXPROCS=%d)\n\n",
-		r.Spec.ID, r.Spec.Title, r.Spec.Queue, r.Procs)
-	rows := [][]string{}
-	for _, p := range r.Points {
-		delta := 0.0
-		if p.Fixed.Mops > 0 {
-			delta = (p.Adaptive.Mops/p.Fixed.Mops - 1) * 100
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%dx", p.Multiplier),
-			fmt.Sprintf("%d", p.Threads),
-			fmt.Sprintf("%.3f ±%.3f", p.Fixed.Mops, p.Fixed.CI),
-			fmt.Sprintf("%.3f ±%.3f", p.Adaptive.Mops, p.Adaptive.CI),
-			fmt.Sprintf("%+.1f%%", delta),
-			fmt.Sprintf("%.1f", p.Fixed.ClosesPerMop),
-			fmt.Sprintf("%.1f", p.Adaptive.ClosesPerMop),
-		})
-	}
-	table(w, []string{"oversub", "threads", "fixed Mops", "adaptive Mops", "delta", "closes/Mop (fixed)", "closes/Mop (adaptive)"}, rows)
-}
-
 // Table writes a Table 2/3 style statistics table.
 func Table(w io.Writer, r *harness.TableResult) {
 	fmt.Fprintf(w, "Table %s: %s\n", r.Spec.ID, r.Spec.Title)

@@ -235,10 +235,7 @@ func (h *Handle) EnqueueWait(ctx context.Context, v uint64) error {
 
 func (h *Handle) enqueueWait(ctx context.Context, v uint64) error {
 	cfg := h.q.q.Config()
-	// WaitStart resumes the remembered backoff level on an adaptive queue
-	// (a producer parked moments ago starts near where it left off instead
-	// of re-climbing from the floor); on a fixed queue it is just the floor.
-	backoff := h.h.Ctl.WaitStart(cfg.WaitBackoffMin, cfg.WaitBackoffMax)
+	backoff := cfg.WaitBackoffMin
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -246,7 +243,6 @@ func (h *Handle) enqueueWait(ctx context.Context, v uint64) error {
 	for spin := 0; ; spin++ {
 		switch h.enqueueStatus(v) {
 		case core.EnqOK:
-			h.h.Ctl.WaitDone(cfg.WaitBackoffMin)
 			return nil
 		case core.EnqClosed:
 			return ErrClosed
@@ -266,7 +262,7 @@ func (h *Handle) enqueueWait(ctx context.Context, v uint64) error {
 		// Jittered sleep: waiters parked by the same full episode wake
 		// dispersed over [backoff/2, 3·backoff/2] instead of stampeding the
 		// capacity gate together.
-		timer := time.NewTimer(h.h.Ctl.Jitter(backoff))
+		timer := time.NewTimer(h.h.Jitter(backoff))
 		if done != nil {
 			select {
 			case <-done:
@@ -277,7 +273,7 @@ func (h *Handle) enqueueWait(ctx context.Context, v uint64) error {
 		} else {
 			<-timer.C
 		}
-		backoff = h.h.Ctl.WaitGrow(backoff, cfg.WaitBackoffMax)
+		backoff = min(2*backoff, cfg.WaitBackoffMax)
 	}
 }
 
@@ -389,8 +385,7 @@ func (h *Handle) DequeueWait(ctx context.Context) (uint64, error) {
 
 func (h *Handle) dequeueWait(ctx context.Context) (uint64, error) {
 	cfg := h.q.q.Config()
-	// See enqueueWait: remembered level on adaptive queues, floor otherwise.
-	backoff := h.h.Ctl.WaitStart(cfg.WaitBackoffMin, cfg.WaitBackoffMax)
+	backoff := cfg.WaitBackoffMin
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -401,7 +396,6 @@ func (h *Handle) dequeueWait(ctx context.Context) (uint64, error) {
 		// enqueue that starts after Close can succeed.
 		closed := h.q.q.Closed()
 		if v, ok := h.Dequeue(); ok {
-			h.h.Ctl.WaitDone(cfg.WaitBackoffMin)
 			return v, nil
 		}
 		if closed {
@@ -420,7 +414,7 @@ func (h *Handle) dequeueWait(ctx context.Context) (uint64, error) {
 		}
 		// Jittered sleep, as in enqueueWait: consumers parked on the same
 		// empty queue wake dispersed instead of racing the first deposit.
-		timer := time.NewTimer(h.h.Ctl.Jitter(backoff))
+		timer := time.NewTimer(h.h.Jitter(backoff))
 		if done != nil {
 			select {
 			case <-done:
@@ -431,7 +425,7 @@ func (h *Handle) dequeueWait(ctx context.Context) (uint64, error) {
 		} else {
 			<-timer.C
 		}
-		backoff = h.h.Ctl.WaitGrow(backoff, cfg.WaitBackoffMax)
+		backoff = min(2*backoff, cfg.WaitBackoffMax)
 	}
 }
 

@@ -89,13 +89,6 @@ type Metrics struct {
 	// when no watchdog runs.
 	Health Health
 
-	// Contention is the adaptive contention controller's queue-wide state
-	// (WithAdaptiveContention); zero-valued with Enabled false on a
-	// fixed-constant queue. Per-handle controller activity (backoff raises,
-	// decays, pause iterations) aggregates in Stats.AdaptiveRaises /
-	// AdaptiveDecays / AdaptiveSpins.
-	Contention ContentionMetrics
-
 	// Per-operation sampled latency series. DequeueWait and EnqueueWait
 	// time whole waits (sleeps included) and only successful ones.
 	Enqueue     LatencySummary
@@ -123,20 +116,6 @@ type Metrics struct {
 	// Chaos counts fault-injection firings by point name; all zero unless
 	// the binary was built with -tags=chaos.
 	Chaos map[string]uint64
-}
-
-// ContentionMetrics is the queue-wide half of the adaptive contention
-// controller's state: the watchdog remediation boost and how it has moved.
-type ContentionMetrics struct {
-	// Enabled reports whether WithAdaptiveContention armed the controller.
-	Enabled bool
-	// Boost is the current remediation boost: each step doubles every
-	// handle's effective starvation threshold.
-	Boost uint64
-	// Raises and Decays count actual boost movements (saturated raises and
-	// floored decays are not counted), matching the contention-adapt events.
-	Raises uint64
-	Decays uint64
 }
 
 // Event is one entry of the ring-lifecycle debugging trace.
@@ -193,12 +172,6 @@ func (q *Queue) Metrics() Metrics {
 	m.EpochStalls = q.q.EpochStalls()
 	m.OrphanRecoveries = q.q.OrphanRecoveries()
 	m.Health = q.Health()
-	m.Contention = ContentionMetrics{
-		Enabled: q.q.Adaptive(),
-		Boost:   q.q.ContentionBoost(),
-		Raises:  q.q.ContentionRaises(),
-		Decays:  q.q.ContentionDecays(),
-	}
 	if q.tel == nil {
 		return m
 	}

@@ -38,10 +38,6 @@ type Stats struct {
 	BatchSpills   uint64 // batches that spilled into a freshly appended ring
 	GateSpins     uint64 // hierarchical cluster-gate spin iterations
 
-	AdaptiveRaises uint64 // adaptive contention: MIAD backoff raises (failed cell attempts)
-	AdaptiveDecays uint64 // adaptive contention: backoff decays (completed operations)
-	AdaptiveSpins  uint64 // adaptive contention: total backoff pause iterations burned
-
 	TraceArms uint64 // item-trace stamps armed on the enqueue side (sampled + forced)
 	TraceHits uint64 // stamped items this handle's dequeues claimed
 
@@ -81,9 +77,6 @@ func statsFromCounters(c *instrument.Counters) Stats {
 		BatchDequeues:     c.BatchDequeues,
 		BatchSpills:       c.BatchSpill,
 		GateSpins:         c.GateSpins,
-		AdaptiveRaises:    c.AdaptRaises,
-		AdaptiveDecays:    c.AdaptDecays,
-		AdaptiveSpins:     c.AdaptSpins,
 		TraceArms:         c.TraceArms,
 		TraceHits:         c.TraceHits,
 		CombinerRuns:      c.CombinerRuns,
@@ -129,9 +122,6 @@ func (s Stats) Add(o Stats) Stats {
 		BatchDequeues:     s.BatchDequeues + o.BatchDequeues,
 		BatchSpills:       s.BatchSpills + o.BatchSpills,
 		GateSpins:         s.GateSpins + o.GateSpins,
-		AdaptiveRaises:    s.AdaptiveRaises + o.AdaptiveRaises,
-		AdaptiveDecays:    s.AdaptiveDecays + o.AdaptiveDecays,
-		AdaptiveSpins:     s.AdaptiveSpins + o.AdaptiveSpins,
 		TraceArms:         s.TraceArms + o.TraceArms,
 		TraceHits:         s.TraceHits + o.TraceHits,
 		CombinerRuns:      s.CombinerRuns + o.CombinerRuns,

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"lcrq/internal/chaos"
 	"lcrq/internal/core"
 )
 
@@ -168,42 +167,10 @@ func (w *watchdog) check() {
 		detail = fmt.Sprintf("%d reclamation participants declared stalled in one %v interval", dStalls, w.interval)
 	}
 
-	// Remediation: on an adaptive queue the verdict acts, not just reports.
-	if q.q.Adaptive() {
-		w.remediate(verdict)
-	}
-
 	if ev, fire := w.publish(verdict, detail); fire {
 		// Route the transition through the telemetry sink (the queue's Tap),
 		// so it lands in the event trace and counts like any lifecycle event.
 		q.tel.RingEvent(ev)
-	}
-}
-
-// remediate moves the adaptive controller's shared starvation boost from the
-// tick's verdict: a tantrum storm widens every handle's effective starvation
-// threshold one step (enqueuers wait longer before closing rings, so the
-// storm damps instead of feeding ring churn), and a clean tick decays the
-// boost one step so past widening does not outlive its storm. The chaos
-// points let campaigns force either move regardless of the verdict. Each
-// actual change is announced as a contention-adapt event.
-func (w *watchdog) remediate(verdict string) {
-	raise := verdict == "tantrum-storm"
-	decay := verdict == "ok"
-	if chaos.Fire(chaos.AdaptRaise) {
-		raise, decay = true, false
-	} else if chaos.Fire(chaos.AdaptDecay) {
-		raise, decay = false, true
-	}
-	var changed bool
-	switch {
-	case raise:
-		_, changed = w.q.q.RaiseContention()
-	case decay:
-		_, changed = w.q.q.DecayContention()
-	}
-	if changed {
-		w.q.tel.RingEvent(core.EvContentionAdapt)
 	}
 }
 
