@@ -122,14 +122,23 @@ func TestScanThresholdScalesWithRecords(t *testing.T) {
 	if reclaimed.Load() != 8 {
 		t.Fatalf("reclaimed = %d at threshold, want 8", reclaimed.Load())
 	}
-	// With k = DefaultScanThreshold and n records, a record's retired list
-	// never holds more than k×n entries; a second record doubles the bound.
-	r2 := d.Acquire()
+}
+
+// TestSetScanThresholdBoundsRetired checks the bound the scan threshold sets:
+// with k = DefaultScanThreshold and n records, a record's retired list never
+// holds more than k×n entries, and a second record doubles the bound.
+func TestSetScanThresholdBoundsRetired(t *testing.T) {
+	d := New[node](1)
+	r1 := d.Acquire()
+	r2 := d.Acquire() // second record doubles the scaled bound
 	defer r2.Release()
 	bound := DefaultScanThreshold * int(d.Stats())
+	if bound != 2*DefaultScanThreshold {
+		t.Fatalf("bound = %d with 2 records, want %d", bound, 2*DefaultScanThreshold)
+	}
 	for i := 0; i < 100; i++ {
-		r.Retire(&node{v: i}, nil)
-		if got := len(r.retired); got > bound {
+		r1.Retire(&node{v: i}, nil)
+		if got := len(r1.retired); got > bound {
 			t.Fatalf("retired list grew to %d, bound %d", got, bound)
 		}
 	}
