@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
 )
 
@@ -70,33 +71,15 @@ func writeProm(b io.Writer, m Metrics) {
 	fmt.Fprintf(b, "# HELP lcrq_watchdog_ok 1 while the watchdog's latest verdict is healthy (also 1 when disabled).\n# TYPE lcrq_watchdog_ok gauge\nlcrq_watchdog_ok{verdict=%q} %d\n", m.Health.Verdict, wdOK)
 	counter("lcrq_watchdog_checks_total", "Watchdog inspection ticks completed.", m.Health.Checks)
 
-	s := m.Stats
-	counter("lcrq_enqueues_total", "Completed enqueue operations.", s.Enqueues)
-	counter("lcrq_dequeues_total", "Completed dequeue operations, empty results included.", s.Dequeues)
-	counter("lcrq_dequeue_empty_total", "Dequeues that found the queue empty.", s.Empty)
-	counter("lcrq_faa_total", "Fetch-and-add instructions issued.", s.FetchAdds)
-	counter("lcrq_swap_total", "Swap (XCHG) instructions issued.", s.Swaps)
-	counter("lcrq_tas_total", "Test-and-set instructions issued.", s.TestAndSets)
-	counter("lcrq_cas_total", "Single-width CAS attempts.", s.CASAttempts)
-	counter("lcrq_cas_failures_total", "Single-width CAS attempts that failed.", s.CASFailures)
-	counter("lcrq_cas2_total", "Double-width CAS attempts.", s.CAS2Attempts)
-	counter("lcrq_cas2_failures_total", "Double-width CAS attempts that failed.", s.CAS2Failures)
-	counter("lcrq_cell_retries_total", "Extra head/tail fetch-and-adds beyond the first.", s.CellRetries)
-	counter("lcrq_empty_transitions_total", "Empty transitions performed by dequeuers.", s.EmptyTransitions)
-	counter("lcrq_unsafe_transitions_total", "Unsafe transitions performed by dequeuers.", s.UnsafeTransitions)
-	counter("lcrq_spin_waits_total", "Bounded dequeuer waits for a matching enqueuer.", s.SpinWaits)
-	counter("lcrq_threshold_empties_total", "SCQ emptiness verdicts reached via the threshold trick.", s.ThresholdEmpties)
-	counter("lcrq_free_empties_total", "SCQ enqueues that found the free-index queue empty (ring full).", s.FreeEmpties)
-	counter("lcrq_ring_closes_total", "Ring segments closed.", s.RingCloses)
-	counter("lcrq_ring_appends_total", "Ring segments appended to the list.", s.RingAppends)
-	counter("lcrq_ring_recycles_total", "Appended segments satisfied from the recycler.", s.RingRecycles)
-	counter("lcrq_batch_enqueues_total", "EnqueueBatch calls (items count in lcrq_enqueues_total).", s.BatchEnqueues)
-	counter("lcrq_batch_dequeues_total", "DequeueBatch calls (items count in lcrq_dequeues_total).", s.BatchDequeues)
-	counter("lcrq_batch_spills_total", "Batches that spilled into a freshly appended ring.", s.BatchSpills)
-	counter("lcrq_gate_spins_total", "Hierarchical cluster-gate spin iterations.", s.GateSpins)
+	// One counter series per tagged instrument.Counters field.
+	cv := reflect.ValueOf(m.Stats.Counters)
+	for i := range cv.NumField() {
+		f := cv.Type().Field(i)
+		if name, ok := f.Tag.Lookup("prom"); ok {
+			counter(name, f.Tag.Get("help"), cv.Field(i).Uint())
+		}
+	}
 	gauge("lcrq_trace_sample_stride", "Item-trace sampling stride N (0 = tracing off, -1 = forced-only).", int64(m.TraceSampleN))
-	counter("lcrq_trace_arms_total", "Item traces armed on the enqueue side (sampled + forced).", s.TraceArms)
-	counter("lcrq_trace_hits_total", "Stamped items claimed and measured by dequeues.", s.TraceHits)
 
 	if len(m.RingEvents) > 0 {
 		fmt.Fprintf(b, "# HELP lcrq_ring_events_total Ring-lifecycle transitions by event.\n# TYPE lcrq_ring_events_total counter\n")

@@ -1,6 +1,5 @@
 // Package statsmirrortest is a lint fixture: an enum-indexed name registry
-// with a missing and an empty entry, and //lcrq:mirror functions that drop
-// fields of the structs they promise to transcribe.
+// with a missing and an empty entry, next to tables the rule must ignore.
 package statsmirrortest
 
 type point uint8
@@ -27,35 +26,3 @@ var probTable = [numPoints]string{}
 
 // plainTable is not indexed by a defined enum type.
 var plainTable = [4]string{"a"}
-
-type snapshot struct {
-	Enq uint64
-	Deq uint64
-	Err uint64
-}
-
-// addSnap promises to transcribe every snapshot field but forgets Err.
-//
-//lcrq:mirror snapshot
-func addSnap(a, b snapshot) snapshot { // want `addSnap does not reference snapshot\.Err`
-	return snapshot{
-		Enq: a.Enq + b.Enq,
-		Deq: a.Deq + b.Deq,
-	}
-}
-
-// mergeSnap is complete.
-//
-//lcrq:mirror snapshot
-func mergeSnap(a, b snapshot) snapshot {
-	out := a
-	out.Enq += b.Enq
-	out.Deq += b.Deq
-	out.Err += b.Err
-	return out
-}
-
-// badMirror names a type that does not exist.
-//
-//lcrq:mirror nosuch.Type
-func badMirror() {} // want `//lcrq:mirror nosuch\.Type: cannot resolve a struct type \(want "pkgpath\.Type" or "Type"\)`

@@ -91,7 +91,7 @@ func (s *Synch) Apply(h *Handle, arg uint64) (uint64, bool) {
 	next.wait.Store(1)
 	next.completed = false
 
-	h.C.SWAP++
+	h.C.Swaps++
 	cur := s.tail.Swap(next)
 	cur.arg = arg
 	cur.next.Store(next)
@@ -109,7 +109,7 @@ func (s *Synch) Apply(h *Handle, arg uint64) (uint64, bool) {
 	// This thread is the combiner.
 	if s.combineLock != nil {
 		s.combineLock.Lock()
-		h.C.LockAcq++
+		h.C.LockAcquisitions++
 	}
 	tmp := cur
 	applied := uint64(0)

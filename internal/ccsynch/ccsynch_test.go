@@ -107,11 +107,11 @@ func TestCombinerStatsAccumulate(t *testing.T) {
 	wg.Wait()
 	var swaps, combined uint64
 	for _, h := range handles {
-		swaps += h.C.SWAP
+		swaps += h.C.Swaps
 		combined += h.C.Combined
 	}
 	if swaps != workers*per {
-		t.Fatalf("SWAP = %d, want one per Apply (%d)", swaps, workers*per)
+		t.Fatalf("Swaps = %d, want one per Apply (%d)", swaps, workers*per)
 	}
 	if combined != workers*per {
 		t.Fatalf("Combined = %d, want every request applied exactly once (%d)",

@@ -75,7 +75,7 @@ func TestBatchFAAAmortization(t *testing.T) {
 			t.Fatalf("single dequeue %d failed", i)
 		}
 	}
-	singleFAA := hs.C.FAA
+	singleFAA := hs.C.FetchAdds
 	if singleFAA < 2*k {
 		t.Fatalf("single-op baseline issued %d F&As, want >= %d", singleFAA, 2*k)
 	}
@@ -94,7 +94,7 @@ func TestBatchFAAAmortization(t *testing.T) {
 	if n := batched.DequeueBatch(hb, out); n != k {
 		t.Fatalf("DequeueBatch = %d, want %d", n, k)
 	}
-	batchFAA := hb.C.FAA
+	batchFAA := hb.C.FetchAdds
 
 	// One reservation per direction, uncontended: 2 F&As for 2k item ops.
 	// Leave a little slack for protocol retries, but insist on an order-of-k
@@ -124,10 +124,10 @@ func TestEnqueueBatchSpill(t *testing.T) {
 	if n, st := q.EnqueueBatch(h, vs); n != k || st != EnqOK {
 		t.Fatalf("EnqueueBatch = %d,%v, want %d,EnqOK", n, st, k)
 	}
-	if h.C.BatchSpill == 0 {
+	if h.C.BatchSpills == 0 {
 		t.Fatal("a batch 10x the ring size never spilled into a new ring")
 	}
-	if h.C.Appends == 0 {
+	if h.C.RingAppends == 0 {
 		t.Fatal("spilling batch appended no rings")
 	}
 	out := make([]uint64, k)
@@ -156,12 +156,12 @@ func TestDequeueBatchEmptyAndPartial(t *testing.T) {
 	defer h.Release()
 
 	out := make([]uint64, 8)
-	before := h.C.FAA
+	before := h.C.FetchAdds
 	if n := q.DequeueBatch(h, out); n != 0 {
 		t.Fatalf("DequeueBatch on empty queue = %d, want 0", n)
 	}
-	if h.C.FAA != before {
-		t.Fatalf("empty DequeueBatch issued %d F&As, want 0", h.C.FAA-before)
+	if h.C.FetchAdds != before {
+		t.Fatalf("empty DequeueBatch issued %d F&As, want 0", h.C.FetchAdds-before)
 	}
 	if h.C.Empty == 0 {
 		t.Fatal("empty batch did not count as an empty dequeue")

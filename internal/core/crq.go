@@ -145,8 +145,8 @@ func (q *CRQ) Closed() bool { return q.tail.Load()&closedBit != 0 }
 //
 //lcrq:hotpath
 func (q *CRQ) closeRing(h *Handle, ev RingEvent) {
-	h.C.TAS++
-	h.C.Closes++
+	h.C.TestAndSets++
+	h.C.RingCloses++
 	was := q.tail.Or(closedBit)
 	if was&closedBit == 0 && q.cfg.Tap != nil {
 		q.cfg.Tap.RingEvent(ev)
@@ -161,14 +161,14 @@ func (q *CRQ) closeRing(h *Handle, ev RingEvent) {
 //lcrq:hotpath
 func cas2(h *Handle, cell *atomic128.Uint128, p chaos.Point, oldLo, oldHi, newLo, newHi uint64) bool {
 	if chaos.Fire(p) {
-		h.C.CAS2Fail++
+		h.C.CAS2Failures++
 		return false
 	}
-	h.C.CAS2++
+	h.C.CAS2Attempts++
 	if cell.CompareAndSwap(oldLo, oldHi, newLo, newHi) {
 		return true
 	}
-	h.C.CAS2Fail++
+	h.C.CAS2Failures++
 	return false
 }
 
@@ -180,14 +180,14 @@ func (q *CRQ) faaHead(h *Handle) uint64 {
 	if q.cfg.CASLoopFAA {
 		for {
 			old := q.head.Load()
-			h.C.CAS++
+			h.C.CASAttempts++
 			if q.head.CompareAndSwap(old, old+1) {
 				return old
 			}
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
-	h.C.FAA++
+	h.C.FetchAdds++
 	return q.head.Add(1) - 1
 }
 
@@ -199,14 +199,14 @@ func (q *CRQ) faaTail(h *Handle) uint64 {
 	if q.cfg.CASLoopFAA {
 		for {
 			old := q.tail.Load()
-			h.C.CAS++
+			h.C.CASAttempts++
 			if q.tail.CompareAndSwap(old, old+1) {
 				return old
 			}
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
-	h.C.FAA++
+	h.C.FetchAdds++
 	return q.tail.Add(1) - 1
 }
 
@@ -219,14 +219,14 @@ func (q *CRQ) faaHeadN(h *Handle, k uint64) uint64 {
 	if q.cfg.CASLoopFAA {
 		for {
 			old := q.head.Load()
-			h.C.CAS++
+			h.C.CASAttempts++
 			if q.head.CompareAndSwap(old, old+k) {
 				return old
 			}
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
-	h.C.FAA++
+	h.C.FetchAdds++
 	return q.head.Add(k) - k
 }
 
@@ -239,14 +239,14 @@ func (q *CRQ) faaTailN(h *Handle, k uint64) uint64 {
 	if q.cfg.CASLoopFAA {
 		for {
 			old := q.tail.Load()
-			h.C.CAS++
+			h.C.CASAttempts++
 			if q.tail.CompareAndSwap(old, old+k) {
 				return old
 			}
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
-	h.C.FAA++
+	h.C.FetchAdds++
 	return q.tail.Add(k) - k
 }
 
@@ -364,7 +364,7 @@ func (q *CRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 					// We arrived a lap early: unsafe transition
 					// (s, k, v) → (0, k, v).
 					if cas2(h, cell, chaos.DeqCAS2Fail, lo, hi, unsafeFlag|idx, hi) {
-						h.C.UnsafeTrans++
+						h.C.UnsafeTransitions++
 						break cellLoop
 					}
 				}
@@ -378,7 +378,7 @@ func (q *CRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 				}
 				// Empty transition (s, k, ⊥) → (s, h+R, ⊥).
 				if cas2(h, cell, chaos.DeqCAS2Fail, lo, 0, unsafeBit|(hIdx+q.size), 0) {
-					h.C.EmptyTrans++
+					h.C.EmptyTransitions++
 					break cellLoop
 				}
 			}
@@ -561,7 +561,7 @@ retry:
 					}
 				} else {
 					if cas2(h, cell, chaos.DeqCAS2Fail, lo, hi, unsafeFlag|idx, hi) {
-						h.C.UnsafeTrans++
+						h.C.UnsafeTransitions++
 						break cellLoop
 					}
 				}
@@ -572,7 +572,7 @@ retry:
 					continue cellLoop
 				}
 				if cas2(h, cell, chaos.DeqCAS2Fail, lo, 0, unsafeBit|(hIdx+q.size), 0) {
-					h.C.EmptyTrans++
+					h.C.EmptyTransitions++
 					break cellLoop
 				}
 			}
@@ -615,10 +615,10 @@ func (q *CRQ) fixState(h *Handle) {
 		if hd <= t {
 			return // nothing to fix
 		}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if q.tail.CompareAndSwap(t, hd) {
 			return
 		}
-		h.C.CASFail++
+		h.C.CASFailures++
 	}
 }

@@ -396,10 +396,10 @@ func TestCRQCASLoopVariant(t *testing.T) {
 			t.Fatalf("got (%d,%v)", v, ok)
 		}
 	}
-	if h.C.FAA != 0 {
-		t.Fatalf("CAS-loop variant issued %d F&As", h.C.FAA)
+	if h.C.FetchAdds != 0 {
+		t.Fatalf("CAS-loop variant issued %d F&As", h.C.FetchAdds)
 	}
-	if h.C.CAS == 0 {
+	if h.C.CASAttempts == 0 {
 		t.Fatal("CAS-loop variant issued no CASes")
 	}
 }
@@ -415,10 +415,10 @@ func TestCRQCountersPlausible(t *testing.T) {
 		q.Dequeue(h)
 	}
 	// Uncontended: one F&A and one CAS2 per operation.
-	if h.C.FAA != 2*n {
-		t.Fatalf("FAA = %d, want %d", h.C.FAA, 2*n)
+	if h.C.FetchAdds != 2*n {
+		t.Fatalf("FetchAdds = %d, want %d", h.C.FetchAdds, 2*n)
 	}
-	if h.C.CAS2 != 2*n || h.C.CAS2Fail != 0 {
-		t.Fatalf("CAS2 = %d (fail %d), want %d (0)", h.C.CAS2, h.C.CAS2Fail, 2*n)
+	if h.C.CAS2Attempts != 2*n || h.C.CAS2Failures != 0 {
+		t.Fatalf("CAS2Attempts = %d (failures %d), want %d (0)", h.C.CAS2Attempts, h.C.CAS2Failures, 2*n)
 	}
 }

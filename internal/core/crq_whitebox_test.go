@@ -50,8 +50,8 @@ func TestEmptyTransitionPoisonsCell(t *testing.T) {
 	if _, ok := q.Dequeue(h); ok {
 		t.Fatal("empty ring returned value")
 	}
-	if h.C.EmptyTrans != 1 {
-		t.Fatalf("EmptyTrans = %d, want 1", h.C.EmptyTrans)
+	if h.C.EmptyTransitions != 1 {
+		t.Fatalf("EmptyTransitions = %d, want 1", h.C.EmptyTransitions)
 	}
 	// Cell 0 now carries idx=0+R: the enqueuer with t=0 must skip it.
 	_, idx, _, empty := cellState(q, 0)
@@ -82,7 +82,7 @@ func TestSpinWaitTriggers(t *testing.T) {
 	if h.C.SpinWaits != spins {
 		t.Fatalf("SpinWaits = %d, want %d", h.C.SpinWaits, spins)
 	}
-	if h.C.EmptyTrans == 0 {
+	if h.C.EmptyTransitions == 0 {
 		t.Fatal("expected an empty transition after the spin budget expired")
 	}
 }
@@ -110,7 +110,7 @@ func TestSpinWaitSucceeds(t *testing.T) {
 	if !ok || v != 99 {
 		t.Fatalf("got (%d,%v), want (99,true)", v, ok)
 	}
-	if hd.C.EmptyTrans != 0 {
+	if hd.C.EmptyTransitions != 0 {
 		t.Fatal("dequeuer poisoned the cell despite the deposit")
 	}
 	if hd.C.SpinWaits == 0 {
@@ -134,7 +134,7 @@ func TestUnsafeTransitionMarksCell(t *testing.T) {
 		q.Dequeue(h) // index 2 → unsafe transition on cell 0, then retries
 	}()
 	<-done
-	if h.C.UnsafeTrans == 0 {
+	if h.C.UnsafeTransitions == 0 {
 		t.Fatal("no unsafe transition recorded")
 	}
 	safe, idx, val, _ := cellState(q, 0)

@@ -53,13 +53,13 @@ func (q *IAQ) Enqueue(h *Handle, v uint64) bool {
 		panic("core: enqueue of reserved value")
 	}
 	for {
-		h.C.FAA++
+		h.C.FetchAdds++
 		t := q.tail.Add(1) - 1
 		if t >= uint64(len(q.cells)) {
 			return false
 		}
 		chaos.Delay(chaos.DelayEnq) // widen the F&A → SWAP window
-		h.C.SWAP++
+		h.C.Swaps++
 		if q.cells[t].Swap(^v) == 0 { // swapped into ⊥
 			h.C.Enqueues++
 			return true
@@ -73,7 +73,7 @@ func (q *IAQ) Enqueue(h *Handle, v uint64) bool {
 //lcrq:hotpath
 func (q *IAQ) Dequeue(h *Handle) (v uint64, ok bool) {
 	for {
-		h.C.FAA++
+		h.C.FetchAdds++
 		hd := q.head.Add(1) - 1
 		if hd >= uint64(len(q.cells)) {
 			h.C.Dequeues++
@@ -81,7 +81,7 @@ func (q *IAQ) Dequeue(h *Handle) (v uint64, ok bool) {
 			return Bottom, false
 		}
 		chaos.Delay(chaos.DelayDeq) // widen the F&A → SWAP window
-		h.C.SWAP++
+		h.C.Swaps++
 		x := q.cells[hd].Swap(^top)
 		if x != 0 && x != ^top { // found a value
 			h.C.Dequeues++

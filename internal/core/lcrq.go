@@ -446,9 +446,9 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 		crq := q.protect(h, hpTail, &q.tail)
 		if next := crq.next.Load(); next != nil {
 			// Help a stalled appender swing the tail.
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(crq, next) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
 			continue
 		}
@@ -479,22 +479,22 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 		// Spill: append a new ring seeded with the batch's next value; the
 		// rest of the batch lands there on the following iteration.
 		newcrq, recycled := q.newRing(h, vs[0])
-		h.C.CAS++
+		h.C.CASAttempts++
 		if crq.next.CompareAndSwap(nil, newcrq) {
 			q.rings.Add(1)
 			q.tap(EvRingAppend)
 			if recycled {
-				h.C.Recycled++
+				h.C.RingRecycles++
 				q.tap(EvRingRecycle)
 			}
 			chaos.Delay(chaos.Handoff)
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(crq, newcrq) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
-			h.C.Appends++
+			h.C.RingAppends++
 			h.C.Enqueues++
-			h.C.BatchSpill++
+			h.C.BatchSpills++
 			if h.traceArmed {
 				h.completeEnqTrace() // the seeded value carried the stamp
 			}
@@ -510,7 +510,7 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 			}
 			continue
 		}
-		h.C.CASFail++
+		h.C.CASFailures++
 		q.releaseRing(newcrq) // lost the race; ring was never visible
 	}
 }
@@ -606,9 +606,9 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 		crq := q.protect(h, hpTail, &q.tail)
 		if next := crq.next.Load(); next != nil {
 			// Help a stalled appender swing the tail (Figure 5c, 156-158).
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(crq, next) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
 			continue
 		}
@@ -641,20 +641,20 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 		}
 		// Append a new CRQ containing v (159-166).
 		newcrq, recycled := q.newRing(h, v)
-		h.C.CAS++
+		h.C.CASAttempts++
 		if crq.next.CompareAndSwap(nil, newcrq) {
 			q.rings.Add(1)
 			q.tap(EvRingAppend)
 			if recycled {
-				h.C.Recycled++
+				h.C.RingRecycles++
 				q.tap(EvRingRecycle)
 			}
 			chaos.Delay(chaos.Handoff)
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(crq, newcrq) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
-			h.C.Appends++
+			h.C.RingAppends++
 			h.C.Enqueues++
 			if h.traceArmed {
 				h.completeEnqTrace() // the seeded value carried the stamp
@@ -670,7 +670,7 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 			q.unprotect(h, hpTail)
 			return EnqOK
 		}
-		h.C.CASFail++
+		h.C.CASFailures++
 		q.releaseRing(newcrq) // lost the race; ring was never visible
 	}
 }
@@ -694,9 +694,9 @@ func (q *LCRQ) Close(h *Handle) {
 	for {
 		crq := q.protect(h, hpTail, &q.tail)
 		if next := crq.next.Load(); next != nil {
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(crq, next) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
 			continue
 		}
@@ -756,11 +756,11 @@ func (q *LCRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 			return v, true
 		}
 		chaos.Delay(chaos.Handoff)
-		h.C.CAS++
+		h.C.CASAttempts++
 		if q.head.CompareAndSwap(crq, crq.next.Load()) {
 			q.retireRing(h, crq)
 		} else {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
 }
@@ -820,11 +820,11 @@ func (q *LCRQ) DequeueBatch(h *Handle, out []uint64) int {
 			return n
 		}
 		chaos.Delay(chaos.Handoff)
-		h.C.CAS++
+		h.C.CASAttempts++
 		if q.head.CompareAndSwap(crq, crq.next.Load()) {
 			q.retireRing(h, crq)
 		} else {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
 }
@@ -863,9 +863,9 @@ func (q *LCRQ) clusterGate(h *Handle, crq *CRQ) {
 	}
 	cur = crq.cluster.Load()
 	if cur != h.Cluster {
-		h.C.CAS++
+		h.C.CASAttempts++
 		if !crq.cluster.CompareAndSwap(cur, h.Cluster) {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
 }

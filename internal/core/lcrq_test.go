@@ -46,7 +46,7 @@ func TestLCRQUnbounded(t *testing.T) {
 			t.Fatalf("dequeue %d = (%d,%v)", i, v, ok)
 		}
 	}
-	if h.C.Appends == 0 {
+	if h.C.RingAppends == 0 {
 		t.Fatal("expected ring appends with R=4 and 1000 items")
 	}
 }
@@ -270,10 +270,10 @@ func TestLCRQEpochRecycles(t *testing.T) {
 			expect++
 		}
 	}
-	if h.C.Appends == 0 {
+	if h.C.RingAppends == 0 {
 		t.Fatal("workload never appended a ring")
 	}
-	if h.C.Recycled == 0 {
+	if h.C.RingRecycles == 0 {
 		t.Fatal("epoch mode never recycled a ring")
 	}
 }
@@ -305,10 +305,10 @@ func TestNoHazardImpliesNoRecycle(t *testing.T) {
 			}
 		}
 	}
-	if h.C.Recycled != 0 {
+	if h.C.RingRecycles != 0 {
 		t.Fatal("GC-only queue recycled a ring")
 	}
-	if h.C.Appends == 0 {
+	if h.C.RingAppends == 0 {
 		t.Fatal("workload should have appended rings")
 	}
 }
@@ -316,7 +316,7 @@ func TestNoHazardImpliesNoRecycle(t *testing.T) {
 // TestRingRecyclesCountedOnPublish races enqueuers onto tiny rings so that
 // appenders lose the publication CAS. A recycled ring that loses goes back
 // to the pool and may be handed out again; it must be counted once, when it
-// is published, so the aggregated Recycled stays within Appends and matches
+// is published, so the aggregated RingRecycles stays within RingAppends and matches
 // the EvRingRecycle taps one for one.
 func TestRingRecyclesCountedOnPublish(t *testing.T) {
 	const workers, rounds, burst = 8, 2000, 4
@@ -340,8 +340,8 @@ func TestRingRecyclesCountedOnPublish(t *testing.T) {
 				}
 			}
 			mu.Lock()
-			recycled += h.C.Recycled
-			appends += h.C.Appends
+			recycled += h.C.RingRecycles
+			appends += h.C.RingAppends
 			mu.Unlock()
 		}()
 	}
@@ -350,10 +350,10 @@ func TestRingRecyclesCountedOnPublish(t *testing.T) {
 		t.Fatal("workload never recycled a ring")
 	}
 	if recycled > appends {
-		t.Fatalf("Recycled = %d exceeds Appends = %d", recycled, appends)
+		t.Fatalf("RingRecycles = %d exceeds RingAppends = %d", recycled, appends)
 	}
 	if taps := tap.counts[EvRingRecycle].Load(); recycled != taps {
-		t.Fatalf("Recycled = %d, EvRingRecycle taps = %d", recycled, taps)
+		t.Fatalf("RingRecycles = %d, EvRingRecycle taps = %d", recycled, taps)
 	}
 }
 
@@ -415,10 +415,10 @@ func TestLCRQRecyclingReusesRings(t *testing.T) {
 			expect++
 		}
 	}
-	if h.C.Appends == 0 {
+	if h.C.RingAppends == 0 {
 		t.Fatal("workload never appended a ring")
 	}
-	if h.C.Recycled == 0 {
+	if h.C.RingRecycles == 0 {
 		t.Fatal("expected some rings to be recycled")
 	}
 }

@@ -178,14 +178,14 @@ func (s *scqRing) entIdx(e uint64) uint64 { return ^e & s.idxMask }
 //lcrq:hotpath
 func casEntry(h *Handle, ent *atomic.Uint64, p chaos.Point, old, new uint64) bool {
 	if chaos.Fire(p) {
-		h.C.CASFail++
+		h.C.CASFailures++
 		return false
 	}
-	h.C.CAS++
+	h.C.CASAttempts++
 	if ent.CompareAndSwap(old, new) {
 		return true
 	}
-	h.C.CASFail++
+	h.C.CASFailures++
 	return false
 }
 
@@ -197,11 +197,11 @@ func casEntry(h *Handle, ent *atomic.Uint64, p chaos.Point, old, new uint64) boo
 func (s *scqRing) catchup(h *Handle, tailW, headW *atomic.Uint64, tail, head uint64) {
 	chaos.Delay(chaos.ScqCatchup)
 	for tail < head {
-		h.C.CAS++
+		h.C.CASAttempts++
 		if tailW.CompareAndSwap(tail, head) {
 			return
 		}
-		h.C.CASFail++
+		h.C.CASFailures++
 		head = headW.Load()
 		tail = tailW.Load()
 	}
@@ -242,7 +242,7 @@ func (q *CRQ) iqDeq(h *Handle, aq bool) (idx, at uint64, ok bool) {
 			hd = q.faaHead(h)
 			chaos.Delay(chaos.DelayDeq)
 		} else {
-			h.C.FAA++
+			h.C.FetchAdds++
 			hd = headW.Add(1) - 1
 		}
 		j := s.remap(hd)
@@ -253,7 +253,7 @@ func (q *CRQ) iqDeq(h *Handle, aq bool) (idx, at uint64, ok bool) {
 			if ec == hc {
 				// Consume: one atomic AND clears the (complemented) index
 				// field to ⊥; the returned old word carries the index.
-				h.C.TAS++
+				h.C.TestAndSets++
 				old := ent[j].And(^s.idxMask)
 				if i := s.entIdx(old); i != s.idxMask {
 					return i, hd, true
@@ -276,9 +276,9 @@ func (q *CRQ) iqDeq(h *Handle, aq bool) (idx, at uint64, ok bool) {
 						continue // entry changed under us: re-evaluate it
 					}
 					if s.entIdx(e) == s.idxMask {
-						h.C.EmptyTrans++
+						h.C.EmptyTransitions++
 					} else {
-						h.C.UnsafeTrans++
+						h.C.UnsafeTransitions++
 					}
 				}
 			}
@@ -291,7 +291,7 @@ func (q *CRQ) iqDeq(h *Handle, aq bool) (idx, at uint64, ok bool) {
 				return 0, 0, false
 			}
 			if thr.Add(-1) <= -1 && (!aq || t&closedBit == 0) {
-				h.C.ThresholdEmpty++
+				h.C.ThresholdEmpties++
 				return 0, 0, false
 			}
 			break
@@ -307,7 +307,7 @@ func (q *CRQ) iqDeq(h *Handle, aq bool) (idx, at uint64, ok bool) {
 //lcrq:hotpath
 func (s *scqRing) fqEnqueue(h *Handle, idx uint64) {
 	for {
-		h.C.FAA++
+		h.C.FetchAdds++
 		t := s.fqTail.Add(1) - 1
 		j := s.remap(t)
 		tc := (t >> s.ringBits) + 1
@@ -408,7 +408,7 @@ func (q *CRQ) scqEnqueue(h *Handle, v uint64) bool {
 		// Free queue empty: every data slot is in use (or its threshold ran
 		// dry under contention) — the ring is full by the only test SCQ
 		// has, so close it exactly as the CRQ does on t − head ≥ R.
-		h.C.FreeEmpty++
+		h.C.FreeEmpties++
 		q.closeRing(h, EvRingClose)
 		return false
 	}

@@ -124,7 +124,7 @@ func TestSCQFullClosesRing(t *testing.T) {
 	if !q.Closed() {
 		t.Fatal("full ring not closed")
 	}
-	if h.C.FreeEmpty == 0 {
+	if h.C.FreeEmpties == 0 {
 		t.Fatal("FreeEmpty counter not incremented")
 	}
 	// The resident items stay dequeueable after the close.
@@ -243,7 +243,7 @@ func TestSCQListSpill(t *testing.T) {
 	if _, ok := q.Dequeue(h); ok {
 		t.Fatal("drained list returned a value")
 	}
-	if h.C.Appends == 0 {
+	if h.C.RingAppends == 0 {
 		t.Fatal("no ring was ever appended; spill untested")
 	}
 }

@@ -156,7 +156,7 @@ func (h *Handle) publish(op uint32) {
 			return // a combiner served us
 		}
 		if h.q.lock.Load() == 0 {
-			h.C.TAS++
+			h.C.TestAndSets++
 			if h.q.lock.CompareAndSwap(0, 1) {
 				h.q.combine(h)
 				h.q.lock.Store(0)

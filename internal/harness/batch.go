@@ -81,10 +81,10 @@ func RunBatchSweep(spec BatchSweepSpec, sc Scale) (*BatchSweepResult, error) {
 			K:      k,
 			Mops:   r.Mops.Mean(),
 			CI:     r.Mops.CI95(),
-			Spills: r.Counters.BatchSpill,
+			Spills: r.Counters.BatchSpills,
 		}
 		if ops := r.Counters.Ops(); ops > 0 {
-			p.FAAPerItem = float64(r.Counters.FAA) / float64(ops)
+			p.FAAPerItem = float64(r.Counters.FetchAdds) / float64(ops)
 		}
 		out.Points = append(out.Points, p)
 		out.Results = append(out.Results, r)

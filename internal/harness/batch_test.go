@@ -30,7 +30,7 @@ func TestBatchWorkloadVerify(t *testing.T) {
 	}
 	// One F&A reserves a whole block, so the batched run must spend far
 	// fewer F&As per item than the one-per-op baseline.
-	perItem := float64(r.Counters.FAA) / float64(r.Counters.Ops())
+	perItem := float64(r.Counters.FetchAdds) / float64(r.Counters.Ops())
 	if perItem >= 1 {
 		t.Fatalf("F&A per item = %.2f; batching amortized nothing", perItem)
 	}

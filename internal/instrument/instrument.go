@@ -22,79 +22,58 @@ import (
 	"sync/atomic"
 )
 
-// Counters accumulates per-thread operation statistics.
+// Counters accumulates per-thread operation statistics. It is the single
+// declaration of every counter: lcrq.Stats embeds it, and the Prometheus
+// exporter emits one counter series per field that carries a prom tag
+// (series name) and a help tag (HELP text). A field without a prom tag is
+// not exported. Adding a counter is adding a field here.
 type Counters struct {
-	Enqueues uint64 // completed enqueue operations
-	Dequeues uint64 // completed dequeue operations (including EMPTY)
-	Empty    uint64 // dequeues that returned EMPTY
+	Enqueues uint64 `prom:"lcrq_enqueues_total" help:"Completed enqueue operations."`
+	Dequeues uint64 `prom:"lcrq_dequeues_total" help:"Completed dequeue operations, empty results included."`
+	Empty    uint64 `prom:"lcrq_dequeue_empty_total" help:"Dequeues that found the queue empty."`
 
-	FAA      uint64 // fetch-and-add instructions issued
-	SWAP     uint64 // swap (XCHG) instructions issued
-	TAS      uint64 // test-and-set instructions issued
-	CAS      uint64 // single-width CAS attempts
-	CASFail  uint64 // single-width CAS attempts that failed
-	CAS2     uint64 // double-width CAS attempts
-	CAS2Fail uint64 // double-width CAS attempts that failed
+	FetchAdds    uint64 `prom:"lcrq_faa_total" help:"Fetch-and-add instructions issued."`
+	Swaps        uint64 `prom:"lcrq_swap_total" help:"Swap (XCHG) instructions issued."`
+	TestAndSets  uint64 `prom:"lcrq_tas_total" help:"Test-and-set instructions issued."`
+	CASAttempts  uint64 `prom:"lcrq_cas_total" help:"Single-width CAS attempts."`
+	CASFailures  uint64 `prom:"lcrq_cas_failures_total" help:"Single-width CAS attempts that failed."`
+	CAS2Attempts uint64 `prom:"lcrq_cas2_total" help:"Double-width CAS attempts."`
+	CAS2Failures uint64 `prom:"lcrq_cas2_failures_total" help:"Double-width CAS attempts that failed."`
 
-	CellRetries uint64 // CRQ: extra head/tail F&As needed beyond the first
-	EmptyTrans  uint64 // CRQ: empty transitions performed
-	UnsafeTrans uint64 // CRQ: unsafe transitions performed
-	SpinWaits   uint64 // CRQ: bounded waits for a matching enqueuer
-	Closes      uint64 // CRQ: times this thread closed a ring
+	// CRQ and SCQ ring protocol.
+	CellRetries       uint64 `prom:"lcrq_cell_retries_total" help:"Extra head/tail fetch-and-adds beyond the first."`
+	EmptyTransitions  uint64 `prom:"lcrq_empty_transitions_total" help:"Empty transitions performed by dequeuers."`
+	UnsafeTransitions uint64 `prom:"lcrq_unsafe_transitions_total" help:"Unsafe transitions performed by dequeuers."`
+	SpinWaits         uint64 `prom:"lcrq_spin_waits_total" help:"Bounded dequeuer waits for a matching enqueuer."`
+	RingCloses        uint64 `prom:"lcrq_ring_closes_total" help:"Ring segments closed."`
+	ThresholdEmpties  uint64 `prom:"lcrq_threshold_empties_total" help:"SCQ emptiness verdicts reached via the threshold trick."`
+	FreeEmpties       uint64 `prom:"lcrq_free_empties_total" help:"SCQ enqueues that found the free-index queue empty (ring full)."`
 
-	ThresholdEmpty uint64 // SCQ: emptiness verdicts reached via the threshold trick
-	FreeEmpty      uint64 // SCQ: enqueues that found the free-index queue empty (ring full)
+	// LCRQ list, batches and the LCRQ+H cluster gate.
+	RingAppends   uint64 `prom:"lcrq_ring_appends_total" help:"Ring segments appended to the list."`
+	RingRecycles  uint64 `prom:"lcrq_ring_recycles_total" help:"Appended segments satisfied from the recycler."`
+	BatchEnqueues uint64 `prom:"lcrq_batch_enqueues_total" help:"EnqueueBatch calls (items count in lcrq_enqueues_total)."`
+	BatchDequeues uint64 `prom:"lcrq_batch_dequeues_total" help:"DequeueBatch calls (items count in lcrq_dequeues_total)."`
+	BatchSpills   uint64 `prom:"lcrq_batch_spills_total" help:"Batches that spilled into a freshly appended ring."`
+	GateSpins     uint64 `prom:"lcrq_gate_spins_total" help:"Hierarchical cluster-gate spin iterations."`
 
-	Appends  uint64 // LCRQ: new CRQs appended to the list
-	Recycled uint64 // LCRQ: appended CRQs that came from the recycler
+	// Item tracing.
+	TraceArms uint64 `prom:"lcrq_trace_arms_total" help:"Item traces armed on the enqueue side (sampled + forced)."`
+	TraceHits uint64 `prom:"lcrq_trace_hits_total" help:"Stamped items claimed and measured by dequeues."`
 
-	BatchEnqueues uint64 // LCRQ: EnqueueBatch calls (constituent items count in Enqueues)
-	BatchDequeues uint64 // LCRQ: DequeueBatch calls (constituent items count in Dequeues)
-	BatchSpill    uint64 // LCRQ: batches that spilled into a freshly appended ring
-	GateSpins     uint64 // LCRQ+H: cluster admission gate spin iterations
-
-	TraceArms uint64 // tracing: enqueue-side stamps armed (sampled + forced)
-	TraceHits uint64 // tracing: stamped items claimed by this thread's dequeues
-
-	CombinerRuns uint64 // combining queues: times this thread combined
-	Combined     uint64 // combining queues: operations applied while combining
-	LockAcq      uint64 // lock acquisitions (blocking queues)
+	// Combining and blocking baseline queues; not exported.
+	CombinerRuns     uint64 // times this thread combined
+	Combined         uint64 // operations applied while combining
+	LockAcquisitions uint64 // lock acquisitions
 }
 
-// Add accumulates o into c. The mirror annotation makes lcrqlint's
-// statsmirror analyzer verify that no Counters field is dropped from the
-// sum; TestAddAccumulatesEveryField is the runtime backstop.
-//
-//lcrq:mirror Counters
+// Add accumulates o into c, field by field.
 func (c *Counters) Add(o *Counters) {
-	c.Enqueues += o.Enqueues
-	c.Dequeues += o.Dequeues
-	c.Empty += o.Empty
-	c.FAA += o.FAA
-	c.SWAP += o.SWAP
-	c.TAS += o.TAS
-	c.CAS += o.CAS
-	c.CASFail += o.CASFail
-	c.CAS2 += o.CAS2
-	c.CAS2Fail += o.CAS2Fail
-	c.CellRetries += o.CellRetries
-	c.EmptyTrans += o.EmptyTrans
-	c.UnsafeTrans += o.UnsafeTrans
-	c.SpinWaits += o.SpinWaits
-	c.Closes += o.Closes
-	c.ThresholdEmpty += o.ThresholdEmpty
-	c.FreeEmpty += o.FreeEmpty
-	c.Appends += o.Appends
-	c.Recycled += o.Recycled
-	c.BatchEnqueues += o.BatchEnqueues
-	c.BatchDequeues += o.BatchDequeues
-	c.BatchSpill += o.BatchSpill
-	c.GateSpins += o.GateSpins
-	c.TraceArms += o.TraceArms
-	c.TraceHits += o.TraceHits
-	c.CombinerRuns += o.CombinerRuns
-	c.Combined += o.Combined
-	c.LockAcq += o.LockAcq
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := range cv.NumField() {
+		f := cv.Field(i)
+		f.SetUint(f.Uint() + ov.Field(i).Uint())
+	}
 }
 
 // Ops returns the total number of completed operations.
@@ -108,7 +87,7 @@ func (c *Counters) AtomicsPerOp() float64 {
 	if ops == 0 {
 		return 0
 	}
-	atomics := c.FAA + c.SWAP + c.TAS + c.CAS + c.CAS2
+	atomics := c.FetchAdds + c.Swaps + c.TestAndSets + c.CASAttempts + c.CAS2Attempts
 	return float64(atomics) / float64(ops)
 }
 
@@ -120,7 +99,7 @@ func (c *Counters) CASFailuresPerOp() float64 {
 	if ops == 0 {
 		return 0
 	}
-	return float64(c.CASFail+c.CAS2Fail) / float64(ops)
+	return float64(c.CASFailures+c.CAS2Failures) / float64(ops)
 }
 
 // NumFields returns the number of counter fields in Counters. Every field is
@@ -171,8 +150,8 @@ func (c *Counters) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ops=%d (enq=%d deq=%d empty=%d)", c.Ops(), c.Enqueues, c.Dequeues, c.Empty)
 	fmt.Fprintf(&b, " atomics/op=%.2f casfail/op=%.3f", c.AtomicsPerOp(), c.CASFailuresPerOp())
-	if c.Closes+c.Appends > 0 {
-		fmt.Fprintf(&b, " closes=%d appends=%d recycled=%d", c.Closes, c.Appends, c.Recycled)
+	if c.RingCloses+c.RingAppends > 0 {
+		fmt.Fprintf(&b, " closes=%d appends=%d recycled=%d", c.RingCloses, c.RingAppends, c.RingRecycles)
 	}
 	if c.CombinerRuns > 0 {
 		fmt.Fprintf(&b, " combiner: runs=%d avg-batch=%.1f", c.CombinerRuns,

@@ -9,9 +9,7 @@ import (
 
 func TestAddAccumulatesEveryField(t *testing.T) {
 	// Fill a Counters with distinct values per field via reflection so this
-	// test fails if a newly added field is forgotten in Add. The primary
-	// guard is lcrqlint's statsmirror analyzer (//lcrq:mirror Counters on
-	// Add); this is the runtime backstop.
+	// test fails if Add ever skips a field.
 	mk := func(base uint64) *Counters {
 		c := &Counters{}
 		v := reflect.ValueOf(c).Elem()
@@ -62,7 +60,7 @@ func TestOps(t *testing.T) {
 }
 
 func TestAtomicsPerOp(t *testing.T) {
-	c := Counters{Enqueues: 5, Dequeues: 5, FAA: 10, CAS2: 10, CAS: 5, SWAP: 3, TAS: 2}
+	c := Counters{Enqueues: 5, Dequeues: 5, FetchAdds: 10, CAS2Attempts: 10, CASAttempts: 5, Swaps: 3, TestAndSets: 2}
 	if got := c.AtomicsPerOp(); got != 3.0 {
 		t.Fatalf("AtomicsPerOp = %v, want 3.0", got)
 	}
@@ -76,7 +74,7 @@ func TestZeroOpsNoDivideByZero(t *testing.T) {
 }
 
 func TestCASFailuresPerOp(t *testing.T) {
-	c := Counters{Enqueues: 2, Dequeues: 2, CASFail: 3, CAS2Fail: 1}
+	c := Counters{Enqueues: 2, Dequeues: 2, CASFailures: 3, CAS2Failures: 1}
 	if got := c.CASFailuresPerOp(); got != 1.0 {
 		t.Fatalf("CASFailuresPerOp = %v, want 1.0", got)
 	}

@@ -161,12 +161,12 @@ func (q *Queue) helpEnq(h *Handle, tid int32, phase int64) {
 		}
 		if next == nil {
 			if q.isStillPending(tid, phase) {
-				h.C.CAS++
+				h.C.CASAttempts++
 				if last.next.CompareAndSwap(nil, q.state[tid].d.Load().node) {
 					q.helpFinishEnq(h)
 					return
 				}
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
 		} else {
 			q.helpFinishEnq(h)
@@ -188,13 +188,13 @@ func (q *Queue) helpFinishEnq(h *Handle) {
 	curDesc := q.state[tid].d.Load()
 	if last == q.tail.Load() && q.state[tid].d.Load().node == next {
 		newDesc := &opDesc{phase: curDesc.phase, pending: false, enqueue: true, node: next}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if !q.state[tid].d.CompareAndSwap(curDesc, newDesc) {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if !q.tail.CompareAndSwap(last, next) {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
 }
@@ -213,9 +213,9 @@ func (q *Queue) helpDeq(h *Handle, tid int32, phase int64) {
 				curDesc := q.state[tid].d.Load()
 				if last == q.tail.Load() && q.isStillPending(tid, phase) {
 					newDesc := &opDesc{phase: curDesc.phase, pending: false, enqueue: false}
-					h.C.CAS++
+					h.C.CASAttempts++
 					if !q.state[tid].d.CompareAndSwap(curDesc, newDesc) {
-						h.C.CASFail++
+						h.C.CASFailures++
 					}
 				}
 			} else {
@@ -231,15 +231,15 @@ func (q *Queue) helpDeq(h *Handle, tid int32, phase int64) {
 		}
 		if first == q.head.Load() && node != first {
 			newDesc := &opDesc{phase: curDesc.phase, pending: true, enqueue: false, node: first}
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.state[tid].d.CompareAndSwap(curDesc, newDesc) {
-				h.C.CASFail++
+				h.C.CASFailures++
 				continue
 			}
 		}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if !first.deqTid.CompareAndSwap(-1, tid) {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 		q.helpFinishDeq(h)
 	}
@@ -255,13 +255,13 @@ func (q *Queue) helpFinishDeq(h *Handle) {
 	curDesc := q.state[tid].d.Load()
 	if first == q.head.Load() && next != nil {
 		newDesc := &opDesc{phase: curDesc.phase, pending: false, enqueue: false, node: curDesc.node}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if !q.state[tid].d.CompareAndSwap(curDesc, newDesc) {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if !q.head.CompareAndSwap(first, next) {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
 }

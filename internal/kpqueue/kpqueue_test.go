@@ -162,7 +162,7 @@ func TestCountersPopulated(t *testing.T) {
 	if h.C.Enqueues != 1 || h.C.Dequeues != 2 || h.C.Empty != 1 {
 		t.Fatalf("counters: %+v", h.C)
 	}
-	if h.C.CAS == 0 {
+	if h.C.CASAttempts == 0 {
 		t.Fatal("no CAS recorded")
 	}
 }

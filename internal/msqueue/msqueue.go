@@ -57,22 +57,22 @@ func (q *Queue) Enqueue(h *Handle, v uint64) {
 		}
 		if next != nil {
 			// Help a stalled enqueuer finish its tail swing.
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(t, next) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
 			continue
 		}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if t.next.CompareAndSwap(nil, n) {
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(t, n) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
 			h.C.Enqueues++
 			return
 		}
-		h.C.CASFail++
+		h.C.CASFailures++
 	}
 }
 
@@ -91,19 +91,19 @@ func (q *Queue) Dequeue(h *Handle) (v uint64, ok bool) {
 				h.C.Empty++
 				return 0, false
 			}
-			h.C.CAS++
+			h.C.CASAttempts++
 			if !q.tail.CompareAndSwap(t, next) {
-				h.C.CASFail++
+				h.C.CASFailures++
 			}
 			continue
 		}
 		v = next.v
-		h.C.CAS++
+		h.C.CASAttempts++
 		if q.head.CompareAndSwap(hd, next) {
 			h.C.Dequeues++
 			return v, true
 		}
-		h.C.CASFail++
+		h.C.CASFailures++
 	}
 }
 
@@ -131,7 +131,7 @@ func NewTwoLock() *TwoLock {
 func (q *TwoLock) Enqueue(h *Handle, v uint64) {
 	n := &node{v: v}
 	q.tmu.Lock()
-	h.C.LockAcq++
+	h.C.LockAcquisitions++
 	q.tail.next.Store(n)
 	q.tail = n
 	q.tmu.Unlock()
@@ -141,7 +141,7 @@ func (q *TwoLock) Enqueue(h *Handle, v uint64) {
 // Dequeue removes and returns the oldest value; ok is false when empty.
 func (q *TwoLock) Dequeue(h *Handle) (v uint64, ok bool) {
 	q.hmu.Lock()
-	h.C.LockAcq++
+	h.C.LockAcquisitions++
 	next := q.head.next.Load()
 	if next == nil {
 		q.hmu.Unlock()

@@ -158,7 +158,7 @@ func TestMSCountersTrackCASFailures(t *testing.T) {
 	wg.Wait()
 	var cas, ops uint64
 	for _, h := range handles {
-		cas += h.C.CAS
+		cas += h.C.CASAttempts
 		ops += h.C.Ops()
 	}
 	if ops != workers*4000 {
@@ -174,7 +174,7 @@ func TestTwoLockLockCounter(t *testing.T) {
 	h := &Handle{}
 	q.Enqueue(h, 1)
 	q.Dequeue(h)
-	if h.C.LockAcq != 2 {
-		t.Fatalf("LockAcq = %d, want 2", h.C.LockAcq)
+	if h.C.LockAcquisitions != 2 {
+		t.Fatalf("LockAcquisitions = %d, want 2", h.C.LockAcquisitions)
 	}
 }

@@ -14,8 +14,8 @@ func TestEnqueueHelpsStalledTailSwing(t *testing.T) {
 	q.tail.Load().next.Store(stalled)
 
 	q.Enqueue(h, 2) // must first swing the tail to `stalled`, then link
-	if h.C.CAS < 2 {
-		t.Fatalf("helping enqueue issued %d CASes, expected at least 2", h.C.CAS)
+	if h.C.CASAttempts < 2 {
+		t.Fatalf("helping enqueue issued %d CASes, expected at least 2", h.C.CASAttempts)
 	}
 	if v, ok := q.Dequeue(h); !ok || v != 1 {
 		t.Fatalf("got (%d,%v), want stalled node first", v, ok)

@@ -134,7 +134,7 @@ func (q *Queue) NewHandle() *Handle {
 // is how P-Sim announces with an always-succeeding instruction). It
 // returns the bit's new value.
 func (h *Handle) flip(w *atomic.Uint64, cur *uint64) uint64 {
-	h.C.FAA++
+	h.C.FetchAdds++
 	if *cur == 0 {
 		w.Add(h.bit)
 		*cur = h.bit
@@ -191,13 +191,13 @@ func (q *Queue) Enqueue(h *Handle, v uint64) {
 			oldTail:   ls.tail,
 			chainHead: chainHead,
 		}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if q.enqS.CompareAndSwap(ls, ns) {
 			fixLink(ns)
 			h.C.CombinerRuns++
 			h.C.Combined += popcount(diffs)
 		} else {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
 }
@@ -239,12 +239,12 @@ func (q *Queue) Dequeue(h *Handle) (v uint64, ok bool) {
 			ns.retOK[id] = true
 			ns.head = next
 		}
-		h.C.CAS++
+		h.C.CASAttempts++
 		if q.deqS.CompareAndSwap(ls, ns) {
 			h.C.CombinerRuns++
 			h.C.Combined += popcount(diffs)
 		} else {
-			h.C.CASFail++
+			h.C.CASFailures++
 		}
 	}
 }

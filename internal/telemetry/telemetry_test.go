@@ -16,7 +16,7 @@ func TestCounterAggregation(t *testing.T) {
 	r2 := s.Register(&c2)
 
 	c1.Enqueues = 10
-	c1.FAA = 20
+	c1.FetchAdds = 20
 	c2.Dequeues = 5
 	r1.Flush()
 	r2.Flush()
@@ -25,7 +25,7 @@ func TestCounterAggregation(t *testing.T) {
 	if snap.Handles != 2 {
 		t.Fatalf("Handles = %d, want 2", snap.Handles)
 	}
-	if snap.Counters.Enqueues != 10 || snap.Counters.Dequeues != 5 || snap.Counters.FAA != 20 {
+	if snap.Counters.Enqueues != 10 || snap.Counters.Dequeues != 5 || snap.Counters.FetchAdds != 20 {
 		t.Fatalf("aggregate = %+v", snap.Counters)
 	}
 

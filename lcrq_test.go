@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lcrq/internal/core"
+	"lcrq/internal/instrument"
 )
 
 func TestQueueBasic(t *testing.T) {
@@ -139,8 +140,8 @@ func TestStatsSnapshot(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Enqueues: 2, Dequeues: 2, AtomicsPerOp: 2, FetchAdds: 8}
-	b := Stats{Enqueues: 6, Dequeues: 6, AtomicsPerOp: 4, FetchAdds: 48}
+	a := Stats{Counters: instrument.Counters{Enqueues: 2, Dequeues: 2, FetchAdds: 8}, AtomicsPerOp: 2}
+	b := Stats{Counters: instrument.Counters{Enqueues: 6, Dequeues: 6, FetchAdds: 48}, AtomicsPerOp: 4}
 	c := a.Add(b)
 	if c.Enqueues != 8 || c.FetchAdds != 56 {
 		t.Fatalf("sum: %+v", c)
