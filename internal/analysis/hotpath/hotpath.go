@@ -15,7 +15,11 @@
 //     on a sync package type (Mutex, RWMutex, WaitGroup, Cond, Once, Pool
 //     — the sync/atomic wrappers are of course allowed);
 //   - map writes (which may allocate and are never safe under concurrent
-//     readers anyway).
+//     readers anyway);
+//   - calls to value-receiver methods whose receiver struct is larger than
+//     a cache line (64 B), which copy the receiver on every call. A
+//     Config.Bounded() check re-normalizing the whole configuration per
+//     operation is the shape this catches; cache the answer in a field.
 //
 // Plain calls remain allowed: responsibility propagates by annotating the
 // callees that are themselves on the fast path, while deliberate slow-path
@@ -89,6 +93,7 @@ func checkBody(pass *analysis.Pass, fn *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			checkCall(pass, n, report)
+			checkRecvCopy(pass, n, name)
 		}
 		return true
 	})
@@ -123,6 +128,35 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, report func(ast.Node, st
 			// receiver; package-level sync functions (OnceFunc) allocate.
 			report(call, "sync."+recvPrefix(f)+f.Name()+" (blocking/allocating)")
 		}
+	}
+}
+
+// maxRecvCopy is the largest value receiver a hot call may copy: one
+// cache line.
+const maxRecvCopy = 64
+
+// checkRecvCopy reports a call to a value-receiver method whose receiver
+// struct exceeds maxRecvCopy bytes.
+func checkRecvCopy(pass *analysis.Pass, call *ast.CallExpr, name string) {
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	sel, ok := pass.TypesInfo.Selections[fun]
+	if !ok || sel.Kind() != types.MethodVal {
+		return
+	}
+	recv := sel.Obj().Type().(*types.Signature).Recv().Type()
+	named, ok := types.Unalias(recv).(*types.Named)
+	if !ok || (named.TypeParams().Len() > 0 && named.TypeArgs().Len() == 0) {
+		return // pointer receivers, interface methods, uninstantiated generics
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return
+	}
+	if size := pass.TypesSizes.Sizeof(named); size > maxRecvCopy {
+		pass.Reportf(call.Pos(), "call to value-receiver method %s.%s in //lcrq:hotpath function %s copies its %d-byte receiver on every call; use a pointer receiver or cache the result",
+			named.Obj().Name(), sel.Obj().Name(), name, size)
 	}
 }
 

@@ -200,3 +200,44 @@ func (q *queue) drain() {
 	time.Sleep(time.Nanosecond)
 	runtime.Gosched()
 }
+
+// config is larger than a cache line, like core.Config.
+type config struct {
+	capacity, maxRings, ringOrder, spin, starve, stride int64
+	tune                                                [4]int64
+}
+
+// normalized copies the whole config, as core.Config's does.
+func (c config) normalized() config { return c }
+
+// bounded re-normalizes a value receiver on every call.
+func (c config) bounded() bool {
+	n := c.normalized()
+	return n.capacity > 0 || n.maxRings > 0
+}
+
+// ringSize has a pointer receiver: calling it copies nothing.
+func (c *config) ringSize() int64 { return 1 << c.ringOrder }
+
+// small fits in a cache line, so a value receiver is fine.
+type small struct{ a, b uint64 }
+
+func (s small) sum() uint64 { return s.a + s.b }
+
+type boundedQueue struct {
+	cfg   config
+	small small
+	full  bool
+}
+
+// release is the shape the rule exists for: a per-operation call that
+// copies an oversized receiver.
+//
+//lcrq:hotpath
+func (q *boundedQueue) release() {
+	if q.cfg.bounded() && q.full { // want `call to value-receiver method config\.bounded in //lcrq:hotpath function release copies its 80-byte receiver on every call`
+		q.full = false
+	}
+	_ = q.cfg.ringSize()
+	_ = q.small.sum()
+}

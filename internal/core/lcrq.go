@@ -43,9 +43,12 @@ type LCRQ struct {
 	_     pad.Line
 
 	cfg Config
-	// traced caches cfg.TraceSampleN != 0 so the operation paths gate the
-	// per-op trace bookkeeping on one read-only bool. Set once in NewLCRQ.
-	traced bool
+	// traced caches cfg.TraceSampleN != 0 and bounded caches
+	// cfg.Bounded(), so the operation paths gate per-op bookkeeping on one
+	// read-only bool instead of re-normalizing the whole Config per call.
+	// Both are set once in NewLCRQ.
+	traced  bool
+	bounded bool
 	dom    *hazard.Domain[CRQ]
 	edom   *epoch.Domain[CRQ]
 	pool   sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
@@ -79,7 +82,7 @@ type LCRQ struct {
 // NewLCRQ returns an empty queue configured by cfg.
 func NewLCRQ(cfg Config) *LCRQ {
 	cfg = cfg.normalized()
-	q := &LCRQ{cfg: cfg, traced: cfg.TraceSampleN != 0}
+	q := &LCRQ{cfg: cfg, traced: cfg.TraceSampleN != 0, bounded: cfg.Bounded()}
 	switch cfg.Reclamation {
 	case ReclaimHazard:
 		q.dom = hazard.New[CRQ](hpSlots)
@@ -347,9 +350,9 @@ func (q *LCRQ) EnqueueStatus(h *Handle, v uint64) EnqStatus {
 	switch {
 	case st == EnqFull:
 		q.reject()
-	case st == EnqOK && q.cfg.Bounded():
+	case st == EnqOK && q.bounded:
 		// A success ends any full episode; the next rejection re-arms the
-		// EvCapacityReject tap. Gating on Bounded() (not MaxRings alone)
+		// EvCapacityReject tap. Gating on bounded (not MaxRings alone)
 		// keeps the reset alive for any bounded configuration regardless of
 		// how normalization derives the ring budget. Plain load first so the
 		// steady non-full state costs one read, not a store.
@@ -414,7 +417,7 @@ func (q *LCRQ) EnqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 	if n == len(vs) {
 		// The whole batch landed: a success ends any full episode, exactly
 		// as in EnqueueStatus.
-		if q.cfg.Bounded() && q.full.Load() {
+		if q.bounded && q.full.Load() {
 			q.full.Store(false)
 		}
 		return n, EnqOK
@@ -534,11 +537,13 @@ func (q *LCRQ) releaseItem() { q.releaseItems(1) }
 // succeeds in between (a producer-side-only reset would leave a drained
 // queue reporting a stale full episode until the next successful enqueue).
 // The plain load keeps the steady non-full state at one read.
+//
+//lcrq:hotpath
 func (q *LCRQ) releaseItems(n int64) {
 	if q.cfg.Capacity > 0 {
 		q.items.Add(-n)
 	}
-	if q.cfg.Bounded() && q.full.Load() {
+	if q.bounded && q.full.Load() {
 		q.full.Store(false)
 	}
 }
