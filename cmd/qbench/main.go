@@ -16,12 +16,8 @@
 // switches figure output to CSV; -chart adds an ASCII chart; -metrics PATH
 // additionally writes the results as a JSON sidecar for dashboards.
 //
-// Governed runs (extension): -capacity N bounds the LCRQ family to N
-// in-flight items (producers block under backpressure), and -watchdog DUR
-// samples the budget stats at that interval, deriving a health verdict.
-// Both the budget outcome and the verdict land in the -metrics sidecar:
-//
-//	qbench -queues lcrq -threads 8 -capacity 1024 -watchdog 10ms -metrics gov.json
+// qbench measures unbounded queues only. Bounded mode and the watchdog are
+// exercised through the public lcrq package (cmd/qserve, perfbench).
 package main
 
 import (
@@ -58,8 +54,6 @@ func main() {
 		prefill    = flag.Int("prefill", 0, "custom sweep: items pre-inserted")
 		enqRatio   = flag.Float64("enqratio", 0, "custom sweep: mixed workload enqueue probability (0 = paper's pairs)")
 		metricsOut = flag.String("metrics", "", "also write results as a JSON sidecar to this path")
-		capacity   = flag.Int64("capacity", 0, "governed run: bound the LCRQ family to this many in-flight items (0 = unbounded)")
-		watchdog   = flag.Duration("watchdog", 0, "governed run: sample budget health at this interval and report verdicts (0 = off)")
 		batch      = flag.Int("batch", 0, "batch study: sweep EnqueueBatch/DequeueBatch block sizes up to N (0 = off)")
 	)
 	flag.Parse()
@@ -78,7 +72,7 @@ func main() {
 	}
 
 	sc := harness.Scale{Pairs: *pairs, Runs: *runs, MaxThreads: *maxThreads,
-		RingOrder: ringOrder, Pin: *pin, Capacity: *capacity, Watchdog: *watchdog}
+		RingOrder: ringOrder, Pin: *pin}
 	if *paper {
 		p := harness.Paper()
 		if *pairs == 0 {

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"lcrq/internal/hist"
-	"lcrq/internal/queues"
 )
 
 // Scale tunes how much work a figure run performs. The zero value selects
@@ -18,11 +16,6 @@ type Scale struct {
 	Threads    []int // override thread axis entirely (nil = spec default)
 	RingOrder  int   // override LCRQ ring order (0 = spec default)
 	Pin        bool  // pin threads to CPUs
-	// Capacity runs the LCRQ family bounded (governed mode, qbench
-	// -capacity); Watchdog samples budget health during each run (qbench
-	// -watchdog). See Workload.
-	Capacity int64
-	Watchdog time.Duration
 }
 
 func (s Scale) pairs() int {
@@ -124,13 +117,6 @@ type Series struct {
 	Points []Point
 }
 
-// GovernancePoint records the budget outcome of one governed measurement.
-type GovernancePoint struct {
-	Queue   string                 `json:"queue"`
-	Threads int                    `json:"threads"`
-	Stats   queues.GovernanceStats `json:"stats"`
-}
-
 // FigureResult is the data behind one rendered figure.
 type FigureResult struct {
 	Spec      FigureSpec
@@ -140,9 +126,6 @@ type FigureResult struct {
 	Pinned    bool
 	HostCPUs  int
 	HostPkgs  int
-	// Governance holds per-point budget outcomes when the figure ran in
-	// governed mode (Scale.Capacity/Watchdog); empty otherwise.
-	Governance []GovernancePoint
 }
 
 // RunFigure measures every (queue, threads) point of the spec.
@@ -180,8 +163,6 @@ func RunFigure(spec FigureSpec, sc Scale) (*FigureResult, error) {
 				Runs:      sc.runs(),
 				Pin:       sc.Pin,
 				EnqRatio:  spec.EnqRatio,
-				Capacity:  sc.Capacity,
-				Watchdog:  sc.Watchdog,
 			}
 			r, err := Run(w)
 			if err != nil {
@@ -189,10 +170,6 @@ func RunFigure(spec FigureSpec, sc Scale) (*FigureResult, error) {
 					spec.ID, qname, th, err)
 			}
 			s.Points = append(s.Points, Point{X: th, Mops: r.Mops.Mean(), CI: r.Mops.CI95()})
-			if r.Governance != nil {
-				out.Governance = append(out.Governance,
-					GovernancePoint{Queue: qname, Threads: th, Stats: *r.Governance})
-			}
 			out.Simulated = out.Simulated || r.Simulated
 			out.Pinned = r.Pinned
 			out.HostCPUs = r.HostCPUs
@@ -274,8 +251,6 @@ func RunLatencyFigure(spec LatencySpec, sc Scale) (*LatencyResult, error) {
 			Runs:          1, // distributions accumulate enough samples in one run
 			Pin:           sc.Pin,
 			LatencySample: 16,
-			Capacity:      sc.Capacity,
-			Watchdog:      sc.Watchdog,
 		}
 		if sc.MaxThreads > 0 && w.Threads > sc.MaxThreads {
 			w.Threads = sc.MaxThreads
@@ -371,8 +346,6 @@ func RunRingSweep(spec RingSweepSpec, sc Scale) (*RingSweepResult, error) {
 		Clusters:  spec.Clusters,
 		Runs:      sc.runs(),
 		Pin:       sc.Pin,
-		Capacity:  sc.Capacity,
-		Watchdog:  sc.Watchdog,
 	}
 	out.Swept.Queue = spec.Queue
 	for _, order := range spec.Orders {
@@ -477,8 +450,6 @@ func RunTable(spec TableSpec, sc Scale) (*TableResult, error) {
 					RingOrder: sc.RingOrder,
 					Runs:      sc.runs(),
 					Pin:       sc.Pin,
-					Capacity:  sc.Capacity,
-					Watchdog:  sc.Watchdog,
 				}
 				r, err := Run(w)
 				if err != nil {

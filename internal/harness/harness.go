@@ -78,14 +78,6 @@ type Workload struct {
 	// prefill + enqueues must equal successful dequeues + leftovers. A
 	// violation fails the run with an error. Costs one full drain per run.
 	Verify bool
-	// Capacity, when positive, runs the LCRQ family bounded (governed
-	// mode): at most Capacity items in flight, producers blocking when the
-	// budget binds. Other queues ignore it.
-	Capacity int64
-	// Watchdog, when positive, samples the governed queue's budget stats at
-	// this interval during each run and derives a health verdict (see
-	// Result.Governance). Requires a Governed adapter to have any effect.
-	Watchdog time.Duration
 	// Batch, when > 1, replaces each enqueue/dequeue pair with an
 	// EnqueueBatch/DequeueBatch pair of that size (the pair count is scaled
 	// down so the item volume matches the Batch=1 workload). Requires a
@@ -106,10 +98,6 @@ type Result struct {
 	HostCPUs   int
 	HostPkgs   int
 	WallPerRun time.Duration // mean wall time of one run
-	// Governance is the budget outcome of the last run when the workload
-	// ran governed (Capacity/Watchdog set and the queue supports it); nil
-	// otherwise.
-	Governance *queues.GovernanceStats
 }
 
 // ThroughputMops returns the mean throughput in million operations per
@@ -127,10 +115,6 @@ func Run(w Workload) (*Result, error) {
 	runs := w.Runs
 	if runs < 1 {
 		runs = 1
-	}
-	if w.Capacity > 0 && w.Prefill > int(w.Capacity) {
-		return nil, fmt.Errorf("harness: prefill %d exceeds capacity %d (producers would block forever)",
-			w.Prefill, w.Capacity)
 	}
 	if w.Batch > 1 && w.EnqRatio > 0 {
 		return nil, fmt.Errorf("harness: batch and enq-ratio workloads are mutually exclusive")
@@ -167,7 +151,7 @@ func Run(w Workload) (*Result, error) {
 
 	var totalWall time.Duration
 	for run := 0; run < runs; run++ {
-		elapsed, counters, h, gov, err := runOnce(w, place, run)
+		elapsed, counters, h, err := runOnce(w, place, run)
 		if err != nil {
 			return nil, err
 		}
@@ -178,25 +162,20 @@ func Run(w Workload) (*Result, error) {
 		if res.Hist != nil && h != nil {
 			res.Hist.Merge(h)
 		}
-		if gov != nil {
-			res.Governance = gov
-		}
 	}
 	res.WallPerRun = totalWall / time.Duration(runs)
 	return res, nil
 }
 
-func runOnce(w Workload, place *affinity.Placement, run int) (time.Duration, *instrument.Counters, *hist.H, *queues.GovernanceStats, error) {
+func runOnce(w Workload, place *affinity.Placement, run int) (time.Duration, *instrument.Counters, *hist.H, error) {
 	q, err := queues.New(w.Queue, queues.Config{
 		RingOrder: w.RingOrder,
 		Clusters:  maxInt(place.Clusters, 1),
 		Threads:   w.Threads,
 		Prefill:   w.Prefill,
-		Capacity:  w.Capacity,
-		Watchdog:  w.Watchdog,
 	})
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return 0, nil, nil, err
 	}
 
 	if w.Batch > 1 {
@@ -204,7 +183,7 @@ func runOnce(w Workload, place *affinity.Placement, run int) (time.Duration, *in
 		_, batched := h.(queues.BatchHandle)
 		h.Release()
 		if !batched {
-			return 0, nil, nil, nil, fmt.Errorf("harness: queue %q does not support batch operations", w.Queue)
+			return 0, nil, nil, fmt.Errorf("harness: queue %q does not support batch operations", w.Queue)
 		}
 	}
 
@@ -254,29 +233,10 @@ func runOnce(w Workload, place *affinity.Placement, run int) (time.Duration, *in
 	for int(ready.Load()) < w.Threads {
 		runtime.Gosched()
 	}
-	gq, governed := q.(queues.Governed)
-	var wdStop chan struct{}
-	var wdDone chan wdOutcome
-	if governed && w.Watchdog > 0 {
-		wdStop = make(chan struct{})
-		wdDone = make(chan wdOutcome, 1)
-		go watchGovernance(gq, w.Watchdog, wdStop, wdDone)
-	}
 	t0 := time.Now()
 	start.Store(1)
 	wg.Wait()
 	elapsed := time.Since(t0)
-
-	var gov *queues.GovernanceStats
-	if governed && (w.Capacity > 0 || w.Watchdog > 0) {
-		g := gq.Governance()
-		if wdStop != nil {
-			close(wdStop)
-			out := <-wdDone
-			g.Checks, g.Verdict = out.checks, out.verdict
-		}
-		gov = &g
-	}
 
 	total := &instrument.Counters{}
 	merged := &hist.H{}
@@ -291,52 +251,10 @@ func runOnce(w Workload, place *affinity.Placement, run int) (time.Duration, *in
 	}
 	if w.Verify {
 		if err := verifyConservation(q, w, total); err != nil {
-			return 0, nil, nil, nil, err
+			return 0, nil, nil, err
 		}
 	}
-	return elapsed, total, merged, gov, nil
-}
-
-// wdOutcome is what the governance watchdog reports when it stops.
-type wdOutcome struct {
-	checks  uint64
-	verdict string
-}
-
-// watchGovernance samples a governed queue's budget stats every interval
-// and derives a health verdict: "capacity-stall" when the queue sat pinned
-// at capacity (rejections with no item-count movement) for two consecutive
-// checks, "epoch-stall" when the reclamation stall detector fired, "ok"
-// otherwise. Problem verdicts are sticky for the run — a benchmark that
-// livelocked even briefly should say so.
-func watchGovernance(gq queues.Governed, interval time.Duration, stop <-chan struct{}, done chan<- wdOutcome) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	out := wdOutcome{verdict: "ok"}
-	prev := gq.Governance()
-	fullTicks := 0
-	for {
-		select {
-		case <-stop:
-			done <- out
-			return
-		case <-tick.C:
-			cur := gq.Governance()
-			out.checks++
-			if cur.Capacity > 0 && cur.Items >= cur.Capacity && cur.CapacityRejects > prev.CapacityRejects {
-				fullTicks++
-			} else {
-				fullTicks = 0
-			}
-			if fullTicks >= 2 {
-				out.verdict = "capacity-stall"
-			}
-			if cur.EpochStalls > prev.EpochStalls && out.verdict == "ok" {
-				out.verdict = "epoch-stall"
-			}
-			prev = cur
-		}
-	}
+	return elapsed, total, merged, nil
 }
 
 // verifyConservation drains the queue and checks that no item was lost or

@@ -1,8 +1,6 @@
 package queues
 
 import (
-	"runtime"
-
 	"lcrq/internal/ccqueue"
 	"lcrq/internal/core"
 	"lcrq/internal/fc"
@@ -18,16 +16,16 @@ import (
 // paper).
 func init() {
 	Register("lcrq", func(cfg Config) Queue {
-		return newLCRQAdapter("lcrq", cfg, core.Config{RingOrder: cfg.RingOrder})
+		return newLCRQAdapter("lcrq", core.Config{RingOrder: cfg.RingOrder})
 	})
 	Register("scq", func(cfg Config) Queue {
-		return newLCRQAdapter("scq", cfg, core.Config{RingOrder: cfg.RingOrder, Ring: core.RingSCQ})
+		return newLCRQAdapter("scq", core.Config{RingOrder: cfg.RingOrder, Ring: core.RingSCQ})
 	})
 	Register("lcrq-cas", func(cfg Config) Queue {
-		return newLCRQAdapter("lcrq-cas", cfg, core.Config{RingOrder: cfg.RingOrder, CASLoopFAA: true})
+		return newLCRQAdapter("lcrq-cas", core.Config{RingOrder: cfg.RingOrder, CASLoopFAA: true})
 	})
 	Register("lcrq+h", func(cfg Config) Queue {
-		return newLCRQAdapter("lcrq+h", cfg, core.Config{
+		return newLCRQAdapter("lcrq+h", core.Config{
 			RingOrder:      cfg.RingOrder,
 			Hierarchical:   true,
 			ClusterTimeout: cfg.ClusterTimeout,
@@ -57,7 +55,7 @@ func init() {
 	// lcrq-ebr swaps the paper's hazard pointers for epoch-based
 	// reclamation (extension; see internal/epoch).
 	Register("lcrq-ebr", func(cfg Config) Queue {
-		return newLCRQAdapter("lcrq-ebr", cfg, core.Config{
+		return newLCRQAdapter("lcrq-ebr", core.Config{
 			RingOrder:   cfg.RingOrder,
 			Reclamation: core.ReclaimEpoch,
 		})
@@ -81,12 +79,7 @@ type lcrqAdapter struct {
 	q    *core.LCRQ
 }
 
-func newLCRQAdapter(name string, cfg Config, cc core.Config) Queue {
-	// Governed mode (qbench -capacity / -watchdog): the bound and check
-	// interval apply uniformly to every LCRQ variant; core normalization
-	// derives the ring budget from the capacity.
-	cc.Capacity = cfg.Capacity
-	cc.Watchdog = cfg.Watchdog
+func newLCRQAdapter(name string, cc core.Config) Queue {
 	return &lcrqAdapter{name: name, q: core.NewLCRQ(cc)}
 }
 
@@ -103,32 +96,7 @@ type lcrqHandle struct {
 	h *core.Handle
 }
 
-// Governance reports the budget outcome of a bounded run (Governed).
-func (a *lcrqAdapter) Governance() GovernanceStats {
-	return GovernanceStats{
-		Capacity:         a.q.Capacity(),
-		MaxRings:         int64(a.q.MaxRings()),
-		Items:            a.q.Items(),
-		LiveRings:        a.q.LiveRings(),
-		CapacityRejects:  a.q.CapacityRejects(),
-		EpochStalls:      a.q.EpochStalls(),
-		OrphanRecoveries: a.q.OrphanRecoveries(),
-	}
-}
-
-func (h *lcrqHandle) Enqueue(v uint64) {
-	if h.q.Enqueue(h.h, v) {
-		return
-	}
-	// Bounded governed mode: apply backpressure — the benchmark measures
-	// throughput under the budget, it does not drop items.
-	for !h.q.Enqueue(h.h, v) {
-		if h.q.Closed() {
-			return
-		}
-		runtime.Gosched()
-	}
-}
+func (h *lcrqHandle) Enqueue(v uint64) { h.q.Enqueue(h.h, v) }
 func (h *lcrqHandle) Dequeue() (uint64, bool) {
 	v, ok := h.q.Dequeue(h.h)
 	if !ok {
@@ -137,23 +105,11 @@ func (h *lcrqHandle) Dequeue() (uint64, bool) {
 	return v, true
 }
 
-// EnqueueBatch implements BatchHandle: like Enqueue, it applies
-// backpressure instead of dropping — the loop re-offers the unaccepted
-// tail until everything lands or the queue closes.
+// EnqueueBatch implements BatchHandle. The adapters build unbounded
+// queues, so the batch lands whole unless the queue closes.
 func (h *lcrqHandle) EnqueueBatch(vs []uint64) int {
-	total := 0
-	for len(vs) > 0 {
-		n, st := h.q.EnqueueBatch(h.h, vs)
-		total += n
-		vs = vs[n:]
-		if len(vs) == 0 || st == core.EnqClosed || h.q.Closed() {
-			return total
-		}
-		if n == 0 {
-			runtime.Gosched()
-		}
-	}
-	return total
+	n, _ := h.q.EnqueueBatch(h.h, vs)
+	return n
 }
 
 func (h *lcrqHandle) DequeueBatch(out []uint64) int {

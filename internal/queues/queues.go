@@ -28,37 +28,6 @@ type Config struct {
 	// Prefill hints how many items will be pre-inserted, so bounded
 	// implementations (the channel baseline) can size themselves.
 	Prefill int
-	// Capacity, when positive, bounds the LCRQ family's in-flight items
-	// (the governed benchmark mode behind qbench -capacity). Producers
-	// block — spinning politely — instead of dropping when the bound binds.
-	Capacity int64
-	// Watchdog, when positive, is the health-check interval for governed
-	// runs (qbench -watchdog); the harness samples GovernanceStats at this
-	// cadence and derives verdicts.
-	Watchdog time.Duration
-}
-
-// GovernanceStats reports the resource-governance outcome of a bounded run.
-// Adapters that enforce budgets implement Governed; everything else simply
-// does not.
-type GovernanceStats struct {
-	Capacity         int64  `json:"capacity"`
-	MaxRings         int64  `json:"max_rings"`
-	Items            int64  `json:"items"`
-	LiveRings        int64  `json:"live_rings"`
-	CapacityRejects  uint64 `json:"capacity_rejects"`
-	EpochStalls      uint64 `json:"epoch_stalls"`
-	OrphanRecoveries uint64 `json:"orphan_recoveries"`
-	// Checks and Verdict are filled by the harness watchdog sampler, not by
-	// the adapter.
-	Checks  uint64 `json:"watchdog_checks,omitempty"`
-	Verdict string `json:"verdict,omitempty"`
-}
-
-// Governed is implemented by queue adapters that enforce resource budgets
-// and can report how the budgets fared.
-type Governed interface {
-	Governance() GovernanceStats
 }
 
 // Queue is a constructed queue instance.
@@ -85,9 +54,8 @@ type Handle interface {
 
 // BatchHandle is implemented by handles whose queue supports batched
 // operations (one index reservation per block of items). EnqueueBatch
-// appends every value of vs before returning (blocking politely under a
-// bounded budget, like Handle.Enqueue) and returns how many landed — less
-// than len(vs) only if the queue closed mid-batch. DequeueBatch fills out
+// appends every value of vs and returns how many landed — less than
+// len(vs) only if the queue closed mid-batch. DequeueBatch fills out
 // with up to len(out) values and returns how many it wrote; 0 means the
 // queue was observed empty.
 type BatchHandle interface {

@@ -18,11 +18,9 @@ type jsonLatencySeries struct {
 	Quantiles map[string]int64 `json:"quantiles_ns"`
 }
 
-// JSONFigure writes a throughput figure as JSON. Governed runs (qbench
-// -capacity / -watchdog) additionally carry the per-point budget outcomes,
-// so the sidecar records both the throughput and how the budgets fared.
+// JSONFigure writes a throughput figure as JSON.
 func JSONFigure(w io.Writer, r *harness.FigureResult) error {
-	out := map[string]any{
+	return encode(w, map[string]any{
 		"figure":    r.Spec.ID,
 		"title":     r.Spec.Title,
 		"series":    r.Series,
@@ -32,15 +30,7 @@ func JSONFigure(w io.Writer, r *harness.FigureResult) error {
 		"host_pkgs": r.HostPkgs,
 		"pairs":     r.Scale.Pairs,
 		"runs":      r.Scale.Runs,
-	}
-	if len(r.Governance) > 0 {
-		out["capacity"] = r.Scale.Capacity
-		if r.Scale.Watchdog > 0 {
-			out["watchdog"] = r.Scale.Watchdog.String()
-		}
-		out["governance"] = r.Governance
-	}
-	return encode(w, out)
+	})
 }
 
 // JSONLatency writes a latency figure as JSON.
