@@ -128,7 +128,7 @@ type Recorder struct {
 	frames []Frame // fixed-capacity ring
 	next   int     // ring cursor
 	full   bool    // the ring has wrapped
-	prev   lcrq.Stats
+	prev   lcrq.Metrics
 	seeded bool // prev holds a real baseline
 	lastOK bool // health at the previous tick, for edge detection
 
@@ -218,15 +218,15 @@ func (r *Recorder) capture() (alertEdge bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.seeded {
-		f.Enqueues = m.Stats.Enqueues - r.prev.Enqueues
-		f.Dequeues = m.Stats.Dequeues - r.prev.Dequeues
-		f.Empty = m.Stats.Empty - r.prev.Empty
-		f.RingCloses = m.Stats.RingCloses - r.prev.RingCloses
-		f.RingAppends = m.Stats.RingAppends - r.prev.RingAppends
-		f.TraceHits = m.Stats.TraceHits - r.prev.TraceHits
+		f.Enqueues = m.Stats.Enqueues - r.prev.Stats.Enqueues
+		f.Dequeues = m.Stats.Dequeues - r.prev.Stats.Dequeues
+		f.Empty = m.Stats.Empty - r.prev.Stats.Empty
+		f.RingCloses = m.Stats.RingCloses - r.prev.Stats.RingCloses
+		f.RingAppends = m.Stats.RingAppends - r.prev.Stats.RingAppends
+		f.TraceHits = m.Stats.TraceHits - r.prev.Stats.TraceHits
+		f.CapacityRejects = m.CapacityRejects - r.prev.CapacityRejects
 	}
-	f.CapacityRejects = m.CapacityRejects // cumulative gauge-like; cheap to diff offline
-	r.prev = m.Stats
+	r.prev = m
 	r.seeded = true
 
 	r.frames[r.next] = f

@@ -73,6 +73,41 @@ func TestFramesAndDeltas(t *testing.T) {
 	}
 }
 
+// TestCapacityRejectsDelta: CapacityRejects is a per-interval delta like
+// the other counters, not the running total: rejections before a capture
+// never reappear in a later frame.
+func TestCapacityRejectsDelta(t *testing.T) {
+	q := lcrq.New(lcrq.WithCapacity(1))
+	defer q.Close()
+	reject := func(n int) {
+		for i := 0; i < n; i++ {
+			if q.Enqueue(2) {
+				t.Fatal("enqueue past capacity accepted")
+			}
+		}
+	}
+	if !q.Enqueue(1) {
+		t.Fatal("first enqueue rejected")
+	}
+	reject(3) // before the baseline frame
+	// An interval no test outlives: every frame after the baseline comes
+	// from the explicit captures below.
+	r := New(Config{Queue: q, Interval: time.Hour})
+	defer r.Stop()
+	reject(5)
+	r.capture()
+	reject(2)
+	r.capture()
+
+	var got []uint64
+	for _, f := range r.Snapshot("test").Frames {
+		got = append(got, f.CapacityRejects)
+	}
+	if len(got) != 3 || got[0] != 0 || got[1] != 5 || got[2] != 2 {
+		t.Fatalf("per-frame CapacityRejects = %v, want [0 5 2]", got)
+	}
+}
+
 // TestRingBounded: the frame ring wraps at its capacity — old frames are
 // overwritten, the dump never grows past Frames entries, and order stays
 // oldest-first across the wrap point.
