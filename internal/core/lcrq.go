@@ -49,9 +49,9 @@ type LCRQ struct {
 	// Both are set once in NewLCRQ.
 	traced  bool
 	bounded bool
-	dom    *hazard.Domain[CRQ]
-	edom   *epoch.Domain[CRQ]
-	pool   sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
+	dom     *hazard.Domain[CRQ]
+	edom    *epoch.Domain[CRQ]
+	pool    sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
 
 	// closed is set by Close. It lives off the hot cache lines: enqueuers
 	// only consult it on the ring-closed slow path, so an open queue never
