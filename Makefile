@@ -51,7 +51,7 @@ purego:
 chaos:
 	$(GO) test -race -tags=chaos ./...
 
-# Timed governance soak: bounded epoch queue + stall recovery + watchdog
+# Timed governance soak: bounded hazard-pointer queue + watchdog
 # under every injection point and the race detector, budgets asserted
 # continuously. Override the duration with SOAK_SECONDS.
 SOAK_SECONDS ?= 60

@@ -212,7 +212,9 @@ func BenchmarkAblationPadding(b *testing.B) {
 // GC-only reclamation, on a tiny ring that churns segments constantly.
 func BenchmarkAblationRecycle(b *testing.B) {
 	b.Run("recycle", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 4}) })
-	b.Run("gc-only", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 4, NoRecycle: true}) })
+	b.Run("gc-only", func(b *testing.B) {
+		coreBenchParallel(b, core.Config{RingOrder: 4, Reclamation: core.ReclaimGC})
+	})
 }
 
 // BenchmarkAblationSpin compares the bounded wait for a matching enqueuer
@@ -224,15 +226,13 @@ func BenchmarkAblationSpin(b *testing.B) {
 
 // BenchmarkAblationReclamation compares the three safe-memory-reclamation
 // schemes: the paper's hazard pointers, epoch-based reclamation, and
-// GC-only (a Go-specific design point; see DESIGN.md §5). The first two
-// are measured without recycling so only the protection cost differs from
-// gc-only; the -churn variants measure the full retire/recycle path on a
-// tiny ring.
+// GC-only (a Go-specific design point; see DESIGN.md §5). On the default
+// ring a pairwise run never retires a ring, so only the protection cost
+// differs between the first three; the -churn variants measure the full
+// retire/recycle path on a tiny ring.
 func BenchmarkAblationReclamation(b *testing.B) {
-	b.Run("hazard", func(b *testing.B) { coreBenchParallel(b, core.Config{NoRecycle: true}) })
-	b.Run("epoch", func(b *testing.B) {
-		coreBenchParallel(b, core.Config{Reclamation: core.ReclaimEpoch, NoRecycle: true})
-	})
+	b.Run("hazard", func(b *testing.B) { coreBenchParallel(b, core.Config{}) })
+	b.Run("epoch", func(b *testing.B) { coreBenchParallel(b, core.Config{Reclamation: core.ReclaimEpoch}) })
 	b.Run("gc-only", func(b *testing.B) { coreBenchParallel(b, core.Config{Reclamation: core.ReclaimGC}) })
 	b.Run("hazard-churn", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 2}) })
 	b.Run("epoch-churn", func(b *testing.B) {

@@ -98,8 +98,8 @@ func soakSeconds() time.Duration {
 }
 
 // TestSoak is the timed robustness soak the CI chaos job runs with -race:
-// a bounded epoch-mode queue with stall recovery and a watchdog, every
-// fault-injection point armed, blocking producers, one consumer that
+// a bounded queue (default hazard-pointer reclamation) with a watchdog,
+// every fault-injection point armed, blocking producers, one consumer that
 // repeatedly stalls mid-traffic while holding a handle, and one handle that
 // is leaked entirely. Throughout, the ring chain must respect its budget
 // and the item account its capacity; afterwards, conservation must hold
@@ -115,8 +115,6 @@ func TestSoak(t *testing.T) {
 	q := New(
 		WithRingOrder(3), // R=8: constant segment churn
 		WithCapacity(capacity),
-		WithEpochReclamation(),
-		WithStallRecovery(2*time.Millisecond),
 		WithWatchdog(5*time.Millisecond),
 		WithWaitBackoff(time.Microsecond, 100*time.Microsecond),
 	)
@@ -157,9 +155,8 @@ func TestSoak(t *testing.T) {
 		}(p)
 	}
 
-	// A stalling consumer: drains briskly, then parks holding its handle —
-	// in epoch mode that is exactly the stalled-reclaimer hazard the ring
-	// budget must survive.
+	// A stalling consumer: drains briskly, then parks holding its handle
+	// while producers block on the capacity.
 	consumed := make([][]uint64, producers)
 	var cwg sync.WaitGroup
 	cwg.Add(1)
@@ -252,7 +249,7 @@ func TestSoak(t *testing.T) {
 	if h := q.Health(); h.Checks == 0 {
 		t.Error("watchdog never completed a check during the soak")
 	}
-	t.Logf("soak done: rings≤%d, items≤%d, stalls=%d, orphans=%d, rejects=%d, health=%+v",
-		maxRings, capacity, q.Metrics().EpochStalls, q.Metrics().OrphanRecoveries,
+	t.Logf("soak done: rings≤%d, items≤%d, orphans=%d, rejects=%d, health=%+v",
+		maxRings, capacity, q.Metrics().OrphanRecoveries,
 		q.Metrics().CapacityRejects, q.Health())
 }

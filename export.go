@@ -62,7 +62,6 @@ func writeProm(b io.Writer, m Metrics) {
 	gauge("lcrq_max_rings", "Configured ring-segment budget (0 = unbounded).", int64(m.MaxRings))
 	gauge("lcrq_items", "Exact in-flight items on a capacity-bounded queue (0 on unbounded).", m.Items)
 	counter("lcrq_capacity_rejects_total", "Enqueue attempts rejected by the item or ring budget.", m.CapacityRejects)
-	counter("lcrq_epoch_stalls_total", "Reclamation participants declared stalled-by-policy.", m.EpochStalls)
 	counter("lcrq_orphan_recoveries_total", "Leaked handles recovered by the orphan finalizer.", m.OrphanRecoveries)
 	wdOK := int64(0)
 	if m.Health.OK {

@@ -18,11 +18,17 @@ import (
 // only off native amd64, so the fuzz targets cover it on every platform.
 func withSCQRing() Option { return func(c *core.Config) { c.Ring = core.RingSCQ } }
 
+// withReclamation selects one of the reclamation ablations, which only
+// core.Config offers: the public queue always runs hazard pointers.
+func withReclamation(r core.Reclamation) Option {
+	return func(c *core.Config) { c.Reclamation = r }
+}
+
 // FuzzQueueModel interprets the fuzz input as an op tape — even bytes
 // enqueue, odd bytes dequeue — and cross-checks the queue against a slice
 // model. The low bits of each byte choose the queue geometry, so the fuzzer
-// also explores tiny rings, CAS-loop mode, disabled spin waits, disabled
-// recycling and the SCQ ring engine.
+// also explores tiny rings, CAS-loop mode, disabled spin waits, GC-only
+// reclamation (no recycling) and the SCQ ring engine.
 func FuzzQueueModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1}, uint8(0))
 	f.Add([]byte{2, 2, 2, 3, 3, 3, 2, 3}, uint8(1))
@@ -38,7 +44,7 @@ func FuzzQueueModel(f *testing.F) {
 			opts = append(opts, WithSpinWait(-1))
 		}
 		if geom&16 != 0 {
-			opts = append(opts, func(c *core.Config) { c.NoRecycle = true })
+			opts = append(opts, withReclamation(core.ReclaimGC))
 		}
 		if geom&32 != 0 {
 			opts = append(opts, withSCQRing())
@@ -95,7 +101,7 @@ func FuzzCloseDrain(f *testing.F) {
 		target := uint64(closeAfter) % (uint64(nprod)*perProd + 1)
 		opts := []Option{WithRingSize(2 << (geom % 4))}
 		if geom&16 != 0 {
-			opts = append(opts, WithEpochReclamation())
+			opts = append(opts, withReclamation(core.ReclaimEpoch))
 		}
 		if geom&32 != 0 {
 			opts = append(opts, WithStarvationLimit(2))
@@ -199,7 +205,7 @@ func FuzzBoundedCapacity(f *testing.F) {
 			WithCapacity(capacity),
 		}
 		if geom&16 != 0 {
-			opts = append(opts, WithEpochReclamation())
+			opts = append(opts, withReclamation(core.ReclaimEpoch))
 		}
 		q := New(opts...)
 		h := q.NewHandle()

@@ -76,10 +76,6 @@ const (
 	// rejection and the next retry, perturbing the wait/wake schedule of
 	// blocked producers.
 	EnqWait
-	// StallScan yields at the epoch stall-declaration window: the moment a
-	// lagging pinned record is declared stalled-by-policy and excluded from
-	// blocking advancement, just before the forced advance proceeds.
-	StallScan
 	// BatchEnqReserve yields inside the batched-enqueue reservation window:
 	// after the single tail F&A has claimed a block of consecutive indices
 	// but before any cell of the block is filled — the window in which
@@ -131,7 +127,6 @@ var pointNames = [NumPoints]string{
 	EpochWindow:  "epoch-window",
 	CapacityGate: "capacity-gate",
 	EnqWait:      "enq-wait",
-	StallScan:    "stall-scan",
 
 	BatchEnqReserve: "batch-enq-reserve",
 	BatchDeqReserve: "batch-deq-reserve",

@@ -241,14 +241,6 @@ func TestBoundedNormalization(t *testing.T) {
 	if !(Config{Capacity: 1}).Bounded() || !(Config{MaxRings: 5}).Bounded() {
 		t.Fatal("Capacity/MaxRings must make the Config bounded")
 	}
-	// Bounded epoch mode auto-enables stall detection…
-	if got := (Config{Capacity: 1, Reclamation: ReclaimEpoch}).normalized().StallAge; got != DefaultStallAge {
-		t.Fatalf("bounded epoch StallAge = %v, want %v", got, DefaultStallAge)
-	}
-	// …and a negative StallAge opts out.
-	if got := (Config{Capacity: 1, Reclamation: ReclaimEpoch, StallAge: -1}).normalized().StallAge; got != 0 {
-		t.Fatalf("StallAge opt-out = %v, want 0", got)
-	}
 }
 
 // TestDetachedHandleRejected verifies the fail-fast guard: a detached
@@ -323,50 +315,4 @@ func TestReleaseDisarmsRecovery(t *testing.T) {
 	if n := q.OrphanRecoveries(); n != 0 {
 		t.Fatalf("released handle was recovered as an orphan (%d recoveries)", n)
 	}
-}
-
-// TestEpochStallDetection verifies stall-resilient reclamation end to end
-// on the queue: with one participant parked inside an operation-style pin,
-// the domain must declare it stalled (rather than freezing reclamation) and
-// a bounded queue must keep accepting and draining items.
-func TestEpochStallDetection(t *testing.T) {
-	q := NewLCRQ(Config{
-		RingOrder:   1,
-		Reclamation: ReclaimEpoch,
-		MaxRings:    4,
-		StallAge:    time.Millisecond,
-	})
-	stalled := q.NewHandle()
-	stalled.enter() // park the handle pinned, as a stuck goroutine would
-	h := q.NewHandle()
-	defer h.Release()
-	// Drive traffic and reclamation kicks until the stall is declared.
-	deadline := time.Now().Add(5 * time.Second)
-	for q.EpochStalls() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pinned participant was never declared stalled")
-		}
-		for i := 0; i < 64; i++ {
-			q.Enqueue(h, uint64(i)+1)
-			q.Dequeue(h)
-		}
-		q.KickReclaim(h)
-		time.Sleep(time.Millisecond)
-	}
-	// Traffic must still flow within the ring budget after the stall.
-	for i := 0; i < 256; i++ {
-		if !q.Enqueue(h, uint64(i)+1) {
-			// Budget pressure is fine; drain and continue.
-			q.Dequeue(h)
-			continue
-		}
-		if _, ok := q.Dequeue(h); !ok {
-			t.Fatal("dequeue failed with items in flight")
-		}
-		if lr := q.LiveRings(); lr > 4 {
-			t.Fatalf("LiveRings = %d exceeds budget with a stalled reclaimer", lr)
-		}
-	}
-	stalled.exit()
-	stalled.Release()
 }

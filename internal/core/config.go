@@ -29,12 +29,6 @@ const (
 	// DefaultTraceSampleN is the default 1-in-N item-trace sampling stride
 	// when tracing is enabled without an explicit rate.
 	DefaultTraceSampleN = 1024
-	// DefaultStallAge is the age past which a pinned epoch record lagging
-	// the global epoch is declared stalled-by-policy, when stall recovery
-	// is enabled without an explicit age. Bounded epoch-mode queues enable
-	// it automatically: a bounded queue that cannot reclaim is a queue that
-	// cannot accept.
-	DefaultStallAge = 10 * time.Millisecond
 	// DefaultWatchdogInterval is the watchdog check period when enabled
 	// without an explicit interval.
 	DefaultWatchdogInterval = 100 * time.Millisecond
@@ -145,15 +139,11 @@ type Config struct {
 	// DefaultClusterTimeout (the paper evaluates 100 µs).
 	ClusterTimeout time.Duration
 
-	// NoRecycle disables hazard-pointer-based ring recycling, letting the
-	// garbage collector reclaim retired CRQs instead. Recycling is on by
-	// default to keep ring allocation off the enqueue path.
-	NoRecycle bool
-
 	// Reclamation selects the safe-memory-reclamation scheme; see the
 	// Reclamation constants. The zero value is the paper-faithful
-	// ReclaimHazard. ReclaimGC implies NoRecycle, since recycling is exactly
-	// what requires reclamation safety.
+	// ReclaimHazard. Retired rings are recycled exactly when a scheme
+	// protects them: ReclaimGC leaves them to the garbage collector, since
+	// recycling is what requires reclamation safety.
 	Reclamation Reclamation
 
 	// Telemetry enables the live telemetry layer: per-handle counters are
@@ -210,16 +200,6 @@ type Config struct {
 	// are raised to it — a budget of 1 would wedge on the first ring close.
 	MaxRings int
 
-	// StallAge is the epoch-reclamation stall threshold: a pinned record
-	// observed lagging the global epoch for longer than StallAge is
-	// declared stalled-by-policy, excluded from blocking advancement, and
-	// reported via the Tap (EvEpochStall); while any record is stalled,
-	// reclaimed rings are dropped to the garbage collector instead of
-	// recycled, since the stalled thread may still hold them. 0 disables
-	// stall detection except in bounded epoch mode, where DefaultStallAge
-	// is applied; negative disables it unconditionally.
-	StallAge time.Duration
-
 	// Watchdog is the health-check interval of the public layer's
 	// background watchdog; 0 disables it. Consumed above core (like
 	// Telemetry); the core only carries the setting.
@@ -273,9 +253,6 @@ func (c Config) normalized() Config {
 	if c.LatencySampleN < 0 {
 		c.LatencySampleN = 0 // sampling disabled
 	}
-	if c.Reclamation == ReclaimGC {
-		c.NoRecycle = true
-	}
 	if c.Capacity < 0 {
 		c.Capacity = 0
 	}
@@ -288,12 +265,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxRings > 0 && c.MaxRings < MinMaxRings {
 		c.MaxRings = MinMaxRings
-	}
-	if c.StallAge == 0 && c.Reclamation == ReclaimEpoch && c.MaxRings > 0 {
-		c.StallAge = DefaultStallAge
-	}
-	if c.StallAge < 0 {
-		c.StallAge = 0
 	}
 	if c.Watchdog < 0 {
 		c.Watchdog = 0

@@ -43,15 +43,17 @@ type LCRQ struct {
 	_     pad.Line
 
 	cfg Config
-	// traced caches cfg.TraceSampleN != 0 and bounded caches
-	// cfg.Bounded(), so the operation paths gate per-op bookkeeping on one
-	// read-only bool instead of re-normalizing the whole Config per call.
-	// Both are set once in NewLCRQ.
+	// traced caches cfg.TraceSampleN != 0, bounded caches cfg.Bounded(),
+	// and recycle whether retired rings are reused (under every scheme but
+	// ReclaimGC, which leaves them to the collector). The operation paths
+	// read these bools instead of re-normalizing the whole Config per
+	// call; all are set once in NewLCRQ.
 	traced  bool
 	bounded bool
+	recycle bool
 	dom     *hazard.Domain[CRQ]
 	edom    *epoch.Domain[CRQ]
-	pool    sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
+	pool    sync.Pool // recycled *CRQ rings (unused unless recycle)
 
 	// closed is set by Close. It lives off the hot cache lines: enqueuers
 	// only consult it on the ring-closed slow path, so an open queue never
@@ -75,22 +77,24 @@ type LCRQ struct {
 	full    atomic.Bool   //lcrq:cold
 
 	// orphans counts handles recovered by the leak finalizer (see
-	// recoveryGuard); stalls are counted by the epoch domain.
+	// recoveryGuard).
 	orphans atomic.Uint64 //lcrq:cold
 }
 
 // NewLCRQ returns an empty queue configured by cfg.
 func NewLCRQ(cfg Config) *LCRQ {
 	cfg = cfg.normalized()
-	q := &LCRQ{cfg: cfg, traced: cfg.TraceSampleN != 0, bounded: cfg.Bounded()}
+	q := &LCRQ{
+		cfg:     cfg,
+		traced:  cfg.TraceSampleN != 0,
+		bounded: cfg.Bounded(),
+		recycle: cfg.Reclamation != ReclaimGC,
+	}
 	switch cfg.Reclamation {
 	case ReclaimHazard:
 		q.dom = hazard.New[CRQ](hpSlots)
 	case ReclaimEpoch:
 		q.edom = epoch.New[CRQ]()
-		if cfg.StallAge > 0 {
-			q.edom.SetStallPolicy(cfg.StallAge, func() { q.tap(EvEpochStall) })
-		}
 	}
 	first := NewCRQ(cfg)
 	q.head.Store(first)
@@ -180,7 +184,7 @@ func (q *LCRQ) unprotect(h *Handle, slot int) {
 // possible. recycled reports which source served the request, so the caller
 // can attribute the ring once it is actually published.
 func (q *LCRQ) newRing(h *Handle, v uint64) (r *CRQ, recycled bool) {
-	if !q.cfg.NoRecycle {
+	if q.recycle {
 		if r, ok := q.pool.Get().(*CRQ); ok && r != nil {
 			q.recGets.Add(1)
 			r.reset()
@@ -202,7 +206,7 @@ func (q *LCRQ) newRing(h *Handle, v uint64) (r *CRQ, recycled bool) {
 // releaseRing returns a ring that was never published (a lost append race)
 // straight to the pool.
 func (q *LCRQ) releaseRing(r *CRQ) {
-	if q.cfg.NoRecycle {
+	if !q.recycle {
 		return
 	}
 	q.recPuts.Add(1)
@@ -221,12 +225,12 @@ func (q *LCRQ) retireRing(h *Handle, r *CRQ) {
 		q.full.Store(false)
 	}
 	q.tap(EvRingRetire)
-	var reclaim func(*CRQ)
-	if !q.cfg.NoRecycle {
-		reclaim = func(old *CRQ) {
-			q.recPuts.Add(1)
-			q.pool.Put(old)
-		}
+	if !q.recycle {
+		return
+	}
+	reclaim := func(old *CRQ) {
+		q.recPuts.Add(1)
+		q.pool.Put(old)
 	}
 	switch {
 	case h.hp != nil:
@@ -573,29 +577,9 @@ func (q *LCRQ) MaxRings() int { return q.cfg.MaxRings }
 // rejected.
 func (q *LCRQ) CapacityRejects() uint64 { return q.rejects.Load() }
 
-// EpochStalls returns how many stall-by-policy declarations the epoch
-// domain has made (0 outside epoch mode).
-func (q *LCRQ) EpochStalls() uint64 {
-	if q.edom == nil {
-		return 0
-	}
-	return q.edom.Stalls()
-}
-
 // OrphanRecoveries returns how many leaked handles (never Released) had
 // their reclamation records recovered by the orphan finalizer.
 func (q *LCRQ) OrphanRecoveries() uint64 { return q.orphans.Load() }
-
-// KickReclaim forces one reclamation step outside the amortized operation
-// schedule: an epoch-advance attempt in epoch mode, nothing elsewhere
-// (hazard scans are already driven by retirement counts, GC mode has no
-// scheme). Watchdogs call it so reclamation keeps moving when operation
-// traffic — whose Unpins normally drive advancement — has stopped.
-func (q *LCRQ) KickReclaim(h *Handle) {
-	if h.ep != nil {
-		h.ep.TryAdvance()
-	}
-}
 
 // enqueue is the core protocol loop of Figure 5, extended with the queue
 // close check (PR 1) and the ring budget gate (bounded mode). The

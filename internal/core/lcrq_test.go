@@ -236,10 +236,6 @@ func TestLCRQConcurrentHierarchical(t *testing.T) {
 	}, 4, 4, 1500)
 }
 
-func TestLCRQConcurrentNoRecycle(t *testing.T) {
-	lcrqStress(t, Config{RingOrder: 3, NoPadding: true, NoRecycle: true}, 4, 4, 2000)
-}
-
 func TestLCRQConcurrentNoSpinWait(t *testing.T) {
 	lcrqStress(t, Config{RingOrder: 4, NoPadding: true, SpinWait: -1}, 4, 4, 2000)
 }
@@ -279,19 +275,18 @@ func TestLCRQEpochRecycles(t *testing.T) {
 }
 
 func TestReclamationModeNormalization(t *testing.T) {
-	if !(Config{Reclamation: ReclaimGC}).normalized().NoRecycle {
-		t.Fatal("ReclaimGC did not imply NoRecycle")
+	for _, mode := range []Reclamation{ReclaimHazard, ReclaimEpoch, ReclaimGC} {
+		if got, want := NewLCRQ(Config{Reclamation: mode}).recycle, mode != ReclaimGC; got != want {
+			t.Fatalf("%v: recycle = %v, want %v", mode, got, want)
+		}
 	}
 	if ReclaimHazard.String() != "hazard" || ReclaimEpoch.String() != "epoch" || ReclaimGC.String() != "gc" {
 		t.Fatal("mode names wrong")
 	}
 }
 
-func TestNoHazardImpliesNoRecycle(t *testing.T) {
+func TestGCModeDoesNotRecycle(t *testing.T) {
 	q := NewLCRQ(Config{RingOrder: 1, Reclamation: ReclaimGC})
-	if !q.Config().NoRecycle {
-		t.Fatal("GC-only reclamation must imply NoRecycle")
-	}
 	h := q.NewHandle()
 	defer h.Release()
 	// Churn rings; nothing may be recycled and nothing may crash.

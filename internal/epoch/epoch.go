@@ -18,7 +18,6 @@ package epoch
 
 import (
 	"sync/atomic"
-	"time"
 
 	"lcrq/internal/chaos"
 	"lcrq/internal/pad"
@@ -41,39 +40,10 @@ type Domain[T any] struct {
 	global  atomic.Uint64
 	_       pad.Line
 	records atomic.Pointer[Record[T]] //lcrq:cold — mutated only on register/unregister
-
-	// Stall policy (SetStallPolicy): a pinned record lagging the global
-	// epoch for stallAge nanoseconds is declared stalled and excluded from
-	// blocking advancement. 0 disables detection.
-	stallAge int64
-	onStall  func()        // stall-declaration callback (telemetry); may be nil
-	stalls   atomic.Uint64 //lcrq:cold — gauge, bumped only on stall declaration
 }
 
 // New returns an empty domain.
 func New[T any]() *Domain[T] { return &Domain[T]{} }
-
-// SetStallPolicy enables stall-resilient advancement: a pinned record that
-// has been observed lagging the global epoch for longer than age is declared
-// stalled-by-policy and no longer blocks epoch advancement. onStall (may be
-// nil) is invoked once per declaration, from the advancing thread.
-//
-// Exclusion keeps the queue's *reclamation* live but voids the grace-period
-// proof for the excluded thread: while any record is stalled, reclaim
-// callbacks are skipped and the retired nodes are dropped to the garbage
-// collector instead, since the stalled thread may still hold references to
-// them. (Under Go's GC that is safe — merely unrecycled; in a manually
-// managed setting it would not be.) A stalled record that moves again is
-// re-honored automatically.
-//
-// Call before the domain is in use; the policy is not synchronized.
-func (d *Domain[T]) SetStallPolicy(age time.Duration, onStall func()) {
-	d.stallAge = age.Nanoseconds()
-	d.onStall = onStall
-}
-
-// Stalls reports how many stall declarations the domain has made.
-func (d *Domain[T]) Stalls() uint64 { return d.stalls.Load() }
 
 // Record is one thread's participation state. A Record must not be used
 // concurrently.
@@ -82,14 +52,6 @@ type Record[T any] struct {
 	domain *Domain[T]
 	local  atomic.Uint64 // activeBit|epoch while pinned, 0 while not
 	inUse  atomic.Bool
-
-	// Stall bookkeeping, written by advancing peers (never the owner):
-	// lastObs is the lagging local value last observed, lagSince when that
-	// value was first seen, and stalled whether the record is currently
-	// excluded from blocking advancement.
-	lastObs  atomic.Uint64
-	lagSince atomic.Int64
-	stalled  atomic.Bool
 
 	pins    uint64
 	buckets [generations][]retired[T]
@@ -167,12 +129,6 @@ func (r *Record[T]) Unpin() {
 	}
 }
 
-// TryAdvance attempts one epoch advancement (and the reclamation of this
-// record's safe generation) outside the amortized Unpin schedule. Watchdogs
-// use it to keep reclamation moving when regular operation traffic — whose
-// Unpins normally drive advancement — has stopped.
-func (r *Record[T]) TryAdvance() { r.tryAdvance() }
-
 // Retire schedules p for reclamation once two epoch advances have passed.
 // Call while pinned.
 func (r *Record[T]) Retire(p *T, reclaim func(*T)) {
@@ -185,61 +141,16 @@ func (r *Record[T]) Retire(p *T, reclaim func(*T)) {
 }
 
 // tryAdvance attempts to move the global epoch forward and reclaims this
-// record's safe generation.
-//
-// With a stall policy set (SetStallPolicy), a record pinned in an older
-// epoch does not block advancement forever: once the same lagging local
-// value has been observed for stallAge, the record is declared stalled,
-// counted, reported, and excluded. Reclamation performed while any record
-// is stalled skips the reclaim callbacks (nodes drop to the garbage
-// collector) because the excluded thread may still hold references; see
-// SetStallPolicy.
+// record's safe generation. A record pinned in an older epoch blocks the
+// advance.
 func (r *Record[T]) tryAdvance() {
 	d := r.domain
 	chaos.Delay(chaos.EpochWindow)
 	e := d.global.Load()
-	sawStalled := false
 	for rec := d.records.Load(); rec != nil; rec = rec.next {
-		l := rec.local.Load()
-		if l&activeBit == 0 || l&^activeBit == e {
-			// Not pinned, or pinned in the current epoch: no obstacle. A
-			// previously stalled record that moved again is re-honored.
-			if rec.stalled.Load() {
-				rec.stalled.Store(false)
-			}
-			continue
-		}
-		// Pinned in an older epoch.
-		if rec.stalled.Load() {
-			if rec.lastObs.Load() == l {
-				sawStalled = true
-				continue // excluded: stalled-by-policy and unmoved
-			}
-			rec.stalled.Store(false) // moved since declared; age it afresh
-		}
-		if d.stallAge <= 0 {
-			return // no stall policy: the pinned record blocks advancement
-		}
-		now := time.Now().UnixNano()
-		if rec.lastObs.Load() != l {
-			// First observation of this lagging value: start its clock.
-			// Concurrent advancers may race these stores; the worst case is
-			// a restarted clock, which only delays the declaration.
-			rec.lastObs.Store(l)
-			rec.lagSince.Store(now)
+		if l := rec.local.Load(); l&activeBit != 0 && l&^activeBit != e {
 			return
 		}
-		if now-rec.lagSince.Load() < d.stallAge {
-			return // lagging, but not yet past the policy age
-		}
-		if rec.stalled.CompareAndSwap(false, true) {
-			d.stalls.Add(1)
-			chaos.Delay(chaos.StallScan)
-			if d.onStall != nil {
-				d.onStall()
-			}
-		}
-		sawStalled = true
 	}
 	if !d.global.CompareAndSwap(e, e+1) {
 		return // someone else advanced; our generation math redoes next time
@@ -249,7 +160,7 @@ func (r *Record[T]) tryAdvance() {
 	// epoch e-1, which no pinned thread can still see.
 	safe := (e + 2) % generations
 	for _, rn := range r.buckets[safe] {
-		if rn.reclaim != nil && !sawStalled {
+		if rn.reclaim != nil {
 			rn.reclaim(rn.p)
 		}
 	}

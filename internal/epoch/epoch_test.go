@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 type node struct{ v int }
@@ -222,76 +221,5 @@ func TestBracketDisciplinePanics(t *testing.T) {
 	r.Release()
 	if got := d.Acquire(); got != r {
 		t.Fatal("record not reusable after orderly release")
-	}
-}
-
-// TestStallPolicyUnblocksAdvance is the package-level stall-resilience
-// test: with the policy set, a permanently pinned participant stops
-// blocking epoch advancement once its lag exceeds the configured age — and
-// reclamation performed during the stall must NOT run callbacks (nodes drop
-// to the GC), since the stalled thread may still hold them.
-func TestStallPolicyUnblocksAdvance(t *testing.T) {
-	d := New[node]()
-	declared := 0
-	d.SetStallPolicy(time.Millisecond, func() { declared++ })
-
-	pinner := d.Acquire()
-	worker := d.Acquire()
-	pinner.Pin() // parks in the current epoch forever
-
-	e0 := d.Stats()
-	var freed atomic.Int64
-	worker.Pin()
-	worker.Retire(&node{}, func(*node) { freed.Add(1) })
-	worker.Unpin()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats() < e0+3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("epoch stuck at %d (started %d) despite stall policy", d.Stats(), e0)
-		}
-		worker.TryAdvance()
-		time.Sleep(time.Millisecond)
-	}
-	if d.Stalls() == 0 || declared == 0 {
-		t.Fatalf("no stall declared (Stalls=%d, callback=%d)", d.Stalls(), declared)
-	}
-	// The epoch moved ≥3 steps, which without the stall would have freed
-	// the node; with a stalled participant the callbacks are suppressed.
-	if freed.Load() != 0 {
-		t.Fatal("reclaim callback ran while a participant was stalled")
-	}
-
-	// The stalled participant waking up re-honors it and re-enables
-	// callback reclamation for newly retired nodes.
-	pinner.Unpin()
-	worker.Pin()
-	worker.Retire(&node{}, func(*node) { freed.Add(1) })
-	worker.Unpin()
-	for i := 0; i < 10; i++ {
-		worker.TryAdvance()
-	}
-	if freed.Load() == 0 {
-		t.Fatal("reclamation did not resume after the stall cleared")
-	}
-	pinner.Release()
-	worker.Release()
-}
-
-// TestStallPolicyIgnoresMovingPinner: a participant that keeps making
-// progress — even while often pinned — must never be declared stalled.
-func TestStallPolicyIgnoresMovingPinner(t *testing.T) {
-	d := New[node]()
-	d.SetStallPolicy(time.Millisecond, nil)
-	a := d.Acquire()
-	b := d.Acquire()
-	for i := 0; i < 200; i++ {
-		a.Pin()
-		b.TryAdvance()
-		a.Unpin()
-		time.Sleep(50 * time.Microsecond)
-	}
-	if n := d.Stalls(); n != 0 {
-		t.Fatalf("moving participant declared stalled %d times", n)
 	}
 }

@@ -68,8 +68,8 @@ func TestShedderVerdictFilter(t *testing.T) {
 		t.Fatal("tantrum-storm is not a shed verdict")
 	}
 	s.Observe(false, "capacity-stall")
-	s.Observe(false, "epoch-stall")
-	s.Observe(false, "epoch-stall")
+	s.Observe(false, "tantrum-storm")
+	s.Observe(false, "tantrum-storm")
 	if s.Shedding() {
 		t.Fatal("non-shed verdicts must count toward recovery")
 	}

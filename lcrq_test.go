@@ -92,9 +92,9 @@ func TestOptionsApply(t *testing.T) {
 		{"cas loop", []Option{func(c *core.Config) { c.CASLoopFAA = true }}},
 		{"hierarchical", []Option{WithHierarchical(time.Millisecond)}},
 		{"no padding", []Option{func(c *core.Config) { c.NoPadding = true }}},
-		{"no recycling", []Option{func(c *core.Config) { c.NoRecycle = true }}},
-		{"no hazard", []Option{WithoutHazardPointers(), WithRingSize(8)}},
-		{"epoch", []Option{WithEpochReclamation(), WithRingSize(8)}},
+		{"no recycling", []Option{withReclamation(core.ReclaimGC)}},
+		{"no hazard", []Option{withReclamation(core.ReclaimGC), WithRingSize(8)}},
+		{"epoch", []Option{withReclamation(core.ReclaimEpoch), WithRingSize(8)}},
 		{"spin", []Option{WithSpinWait(3)}},
 		{"starvation", []Option{WithStarvationLimit(5)}},
 		{"tiny ring", []Option{WithRingSize(1)}}, // clamps to 2

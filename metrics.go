@@ -36,9 +36,11 @@ type BatchSummary struct {
 // lag each handle by at most one publication interval (256 ops); gauges are
 // instantaneous but approximate under concurrency (see DESIGN.md §8).
 //
-// Without WithTelemetry, only the gauge fields (Depth, LiveRings,
-// RecyclerRings, Closed) are populated — they are maintained by the queue
-// core on its slow paths regardless of telemetry.
+// Without WithTelemetry, only the fields the queue core maintains on its
+// slow paths regardless of telemetry are populated: the gauges (Depth,
+// LiveRings, RecyclerRings, Closed), the resource-governance fields
+// (Capacity, MaxRings, Items, CapacityRejects), OrphanRecoveries, and
+// Health.
 type Metrics struct {
 	// Stats aggregates the operation counters of every handle the queue
 	// has issued, including released ones.
@@ -78,11 +80,8 @@ type Metrics struct {
 	Items           int64
 	CapacityRejects uint64
 
-	// EpochStalls counts reclamation participants declared stalled-by-
-	// policy (WithStallRecovery); OrphanRecoveries counts handles that were
-	// leaked without Release and had their reclamation records recovered by
-	// the finalizer.
-	EpochStalls      uint64
+	// OrphanRecoveries counts handles that were leaked without Release and
+	// had their reclamation records recovered by the finalizer.
 	OrphanRecoveries uint64
 
 	// Health is the watchdog's verdict (WithWatchdog); Verdict "disabled"
@@ -169,7 +168,6 @@ func (q *Queue) Metrics() Metrics {
 	m.MaxRings = q.q.MaxRings()
 	m.Items = q.q.Items()
 	m.CapacityRejects = q.q.CapacityRejects()
-	m.EpochStalls = q.q.EpochStalls()
 	m.OrphanRecoveries = q.q.OrphanRecoveries()
 	m.Health = q.Health()
 	if q.tel == nil {

@@ -41,23 +41,6 @@ func WithHierarchical(timeout time.Duration) Option {
 	}
 }
 
-// WithoutHazardPointers removes hazard pointers from the operation path
-// entirely, relying on Go's garbage collector for reclamation safety (an
-// option the paper's C implementation does not have). Retired rings are not
-// recycled. Use to shed the per-operation publication fence when ring churn
-// is rare, or to measure its cost.
-func WithoutHazardPointers() Option {
-	return func(c *core.Config) { c.Reclamation = core.ReclaimGC }
-}
-
-// WithEpochReclamation swaps the paper's hazard pointers for epoch-based
-// reclamation: cheaper per operation (one pin/unpin instead of a pointer
-// publication and revalidation) but a stalled thread delays all ring
-// recycling. See the BenchmarkAblationReclamation comparison.
-func WithEpochReclamation() Option {
-	return func(c *core.Config) { c.Reclamation = core.ReclaimEpoch }
-}
-
 // WithSpinWait bounds how long a dequeuer waits for an in-flight matching
 // enqueuer before poisoning the cell (§4.1.1 of the paper). iters < 0
 // disables the wait; 0 selects the default.
@@ -164,34 +147,13 @@ func WithMaxRings(n int) Option {
 	return func(c *core.Config) { c.MaxRings = n }
 }
 
-// WithStallRecovery enables stall-resilient epoch reclamation: a worker
-// observed pinned in an old epoch for longer than age stops blocking
-// reclamation (it is declared stalled-by-policy, counted in
-// Metrics.EpochStalls, and reported as an epoch-stall event). While any
-// worker is stalled, reclaimed rings go to the garbage collector instead of
-// the recycler, since the stalled worker may still hold them — reclamation
-// stays live, recycling resumes when the stall clears. age 0 selects the
-// default (10 ms). Only meaningful with WithEpochReclamation; bounded
-// epoch-mode queues enable it automatically, because a queue that cannot
-// reclaim rings cannot accept items.
-func WithStallRecovery(age time.Duration) Option {
-	return func(c *core.Config) {
-		if age <= 0 {
-			age = core.DefaultStallAge
-		}
-		c.StallAge = age
-	}
-}
-
 // WithWatchdog starts a background health checker that inspects the
 // queue's telemetry every interval (0 selects 100 ms) and maintains a
 // verdict readable via Queue.Health and Metrics.Health: tantrum storms
-// (rings closing faster than items flow), capacity stalls (a bounded queue
-// full with no consumer progress), and epoch reclamation stalls. Each
-// ok→problem transition is reported as a watchdog-alert event, and in epoch
-// mode every check also kicks reclamation forward so a traffic lull cannot
-// freeze ring recycling. Implies WithTelemetry (the checks read the
-// telemetry aggregates). The watchdog goroutine stops at Close.
+// (rings closing faster than items flow) and capacity stalls (a bounded
+// queue full with no consumer progress). Each ok→problem transition is
+// reported as a watchdog-alert event. Implies WithTelemetry (the checks
+// read the telemetry aggregates). The watchdog goroutine stops at Close.
 func WithWatchdog(interval time.Duration) Option {
 	return func(c *core.Config) {
 		if interval <= 0 {
